@@ -13,7 +13,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import __version__
 from .dictionary import (Dictionary, ReferenceAtom, SampledLineModel,
@@ -22,7 +21,7 @@ from .dictionary import (Dictionary, ReferenceAtom, SampledLineModel,
 from .errors import DataError, NumericError
 from .fdr import detect
 from .nullmodel import NullModel, fit_null
-from .pfabound import threshold_for_pfa
+from .pfabound import threshold_for_pfa_orthogonal, threshold_table
 from .pipeline import (DictionaryParams, FsfKernel, RegionSpec,
                        estimate_reference, extract, gaussian_fsf, load_cube,
                        load_cube_csvdir, preprocess, run_detection,
@@ -142,7 +141,8 @@ def cmd_null_fit(args) -> int:
         dictionary = Dictionary.load_csv(args.dict_in)
     else:
         reference = estimate_reference(cube, region, args.center_pixels)
-        dictionary = build_lss(reference, args.m, args.tau, args.mode)
+        dictionary = build_lss(reference, args.m, args.tau, args.mode,
+                               gram_tol=DictionaryParams().gram_tol)
     field = compute_field(extract(cube, region.fit_slices()), dictionary,
                           kind)
     model = fit_null(field)
@@ -245,17 +245,23 @@ def cmd_pfa_bound(args) -> int:
         raise DataError("--m-range expects 'lo..hi'") from None
     if m_lo < 1 or m_hi < m_lo:
         raise DataError("bad --m-range")
-    rows = []
+    # build each dictionary for its input checks; rows are defined in m
+    # order, so a bound failure at a smaller m is reported first
+    ms, build_error = [], None
     for m in range(m_lo, m_hi + 1):
-        if m == 1:
-            dictionary = build_lss(reference, 1, 0.0, "continuous")
-        else:
-            dictionary = build_lss(reference, m, args.tau, "continuous")
-        eta_bound = threshold_for_pfa(dictionary, args.alpha)
-        eta_orth = threshold_for_pfa_orthogonal(m, args.alpha)
-        gain = (expected_max_gain(reference, m, args.tau, args.amplitude)
-                if m >= 2 else args.amplitude)
-        rows.append((m, eta_bound, eta_orth, gain))
+        try:
+            build_lss(reference, m, args.tau if m > 1 else 0.0, "continuous")
+        except DataError as exc:
+            build_error = exc
+            break
+        ms.append(m)
+    etas = threshold_table(reference, args.tau, ms, args.alpha)
+    if build_error is not None:
+        raise build_error
+    rows = [(m, eta, threshold_for_pfa_orthogonal(m, args.alpha),
+             expected_max_gain(reference, m, args.tau, args.amplitude)
+             if m >= 2 else args.amplitude)
+            for m, eta in zip(ms, etas)]
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:
         writer = csv.writer(out)
@@ -267,11 +273,6 @@ def cmd_pfa_bound(args) -> int:
         if out is not sys.stdout:
             out.close()
     return 0
-
-
-def threshold_for_pfa_orthogonal(m: int, alpha: float) -> float:
-    """Threshold with exact false-alarm alpha for m orthogonal atoms."""
-    return float(ndtri((1.0 - alpha) ** (1.0 / m)))
 
 
 def cmd_glr_compare(args) -> int:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad as quadrature
 
 from .errors import DataError
 
@@ -325,6 +324,9 @@ def expected_max_gain(reference: ReferenceAtom, m: int, tau: float,
     (the overlap curve of a truncated profile has kinks, which defeat a
     single fixed rule).
     """
+    # imported on first use: the import is slow and nothing else needs it
+    from scipy.integrate import quad as quadrature
+
     if m < 2:
         raise DataError("expected_max_gain requires m >= 2")
     half = tau / (m - 1)

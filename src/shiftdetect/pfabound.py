@@ -8,6 +8,12 @@ Pr(z1 <= t | z2 <= t, z3 <= t) evaluated from trivariate and bivariate
 normal CDFs, using the two nearest-neighbor correlations of the denser
 grid.  The bound is sharp for uncorrelated atoms.
 
+A table of thresholds over dictionary sizes does each piece of work
+once: Gamma, the reference's autocorrelation in the shift, is checked
+once per (reference, tau), each grid size's correlations are evaluated
+once, and the factors of the recursion are shared across sizes, since
+M_m(t) is a prefix of M_{m+1}(t).
+
 The bivariate CDF follows the classic Drezner / Genz single-integral
 scheme (including the transformed high-correlation branch); the trivariate
 CDF integrates Plackett's correlation-derivative identity along a linear
@@ -207,6 +213,11 @@ def pfa_exact_orthogonal(m: int, eta: float) -> float:
     return float(-np.expm1(m * np.log(ndtr(eta)))) if ndtr(eta) > 0 else 1.0
 
 
+def threshold_for_pfa_orthogonal(m: int, alpha: float) -> float:
+    """Threshold with exact false-alarm alpha for m orthogonal atoms."""
+    return float(ndtri((1.0 - alpha) ** (1.0 / m)))
+
+
 @dataclass(frozen=True)
 class GaussianCorrModel:
     """Correlation matrix of the per-atom matched-filter scores under
@@ -233,24 +244,106 @@ class GaussianCorrModel:
         return cls(dictionary.gram())
 
 
-def _lss_gamma(dictionary: Dictionary):
-    """Autocorrelation accessor for the dictionary's generative reference,
-    validated for the bound's assumptions (non-negative, non-increasing)."""
-    ref = dictionary.reference
-    if ref is None:
-        raise DataError("pfa_bound needs a dictionary built from a "
-                        "reference (load_csv drops it); rebuild with "
-                        "build_lss")
-    tau = dictionary.tau
-    grid = np.linspace(0.0, 2.0 * tau, 201)
-    vals = np.array([autocorrelation(ref, u) for u in grid])
-    if np.any(vals < -1e-9):
-        raise NumericError("autocorrelation takes negative values: "
-                           "comparison step invalid")
-    if np.any(np.diff(vals) > 1e-9):
-        raise NumericError("autocorrelation not non-increasing in the "
-                           "shift: comparison step invalid")
-    return lambda u: max(0.0, autocorrelation(ref, u))
+def _check_neighbors(neighbors: str) -> None:
+    if neighbors not in ("flanking", "one_sided"):
+        raise DataError(f"unknown neighbor convention {neighbors!r}")
+
+
+class _BoundRecursion:
+    """The recursion M_m(t) for one (reference, tau, neighbors), doing each
+    piece of work once.
+
+    Gamma is validated on its grid at construction; the correlations of
+    grid size s are evaluated once per s; and per threshold t the products
+    M_2(t), M_3(t), ... are kept, so M_m(t) extends the prefix M_{m-1}(t)
+    by one factor.  An instance lives for one computation: nothing is
+    cached across calls.
+    """
+
+    def __init__(self, reference, tau: float, neighbors: str):
+        _check_neighbors(neighbors)
+        if reference is None:
+            raise DataError("pfa_bound needs a dictionary built from a "
+                            "reference (load_csv drops it); rebuild with "
+                            "build_lss")
+        grid = np.linspace(0.0, 2.0 * tau, 201)
+        vals = np.array([autocorrelation(reference, u) for u in grid])
+        if np.any(vals < -1e-9):
+            raise NumericError("autocorrelation takes negative values: "
+                               "comparison step invalid")
+        if np.any(np.diff(vals) > 1e-9):
+            raise NumericError("autocorrelation not non-increasing in the "
+                               "shift: comparison step invalid")
+        self._reference = reference
+        self._tau = tau
+        self._flanking = neighbors == "flanking"
+        self._rho_two = self._gamma(2.0 * tau)
+        self._rho_by_size = []        # (Gamma(delta), Gamma(2 delta)), s = 3..
+        self._prefix_by_t = {}        # t -> [M_2(t), M_3(t), ...]
+
+    def _gamma(self, u: float) -> float:
+        return max(0.0, autocorrelation(self._reference, u))
+
+    def _rho(self, size: int):
+        for s in range(len(self._rho_by_size) + 3, size + 1):
+            delta = 2.0 * self._tau / (s - 1)
+            self._rho_by_size.append((self._gamma(delta),
+                                      self._gamma(2.0 * delta)))
+        return self._rho_by_size[size - 3]
+
+    def pfa(self, t: float, m: int) -> float:
+        """1 - M_m(t), clipped to [0, 1]; 1 once a denominator vanishes."""
+        prefix = self._prefix_by_t.get(t)
+        if prefix is None:
+            prefix = self._prefix_by_t[t] = [
+                normal_cdf_2d(t, t, self._rho_two)]
+        # None marks a vanished denominator: the bound is 1 from there on
+        while len(prefix) < m - 1 and prefix[-1] is not None:
+            r1, r2 = self._rho(len(prefix) + 2)
+            if self._flanking:
+                den = normal_cdf_2d(t, t, r2)
+                num = normal_cdf_3d(t, t, t, r1, r1, r2)
+            else:
+                den = normal_cdf_2d(t, t, r1)
+                num = normal_cdf_3d(t, t, t, r1, r2, r1)
+            prefix.append(None if den <= 0.0 else prefix[-1] * (num / den))
+        big_m = prefix[min(m - 2, len(prefix) - 1)]
+        if big_m is None:
+            return 1.0
+        return float(min(1.0, max(0.0, 1.0 - big_m)))
+
+    def threshold(self, m: int, alpha: float, eta_tol: float) -> float:
+        """Smallest t with 1 - M_m(t) <= alpha, by bisection to eta_tol."""
+        def big_m(t):
+            return 1.0 - self.pfa(float(t), m)
+
+        grid = np.linspace(-6.0, 8.0, 29)
+        vals = np.array([big_m(t) for t in grid])
+        if np.any(np.diff(vals) < -1e-10):
+            raise NumericError("bound recursion not monotone in the "
+                               "threshold")
+
+        target = 1.0 - alpha
+        lo, hi = -6.0, 8.0
+        for _ in range(60):
+            if big_m(lo) <= target:
+                break
+            lo -= 8.0
+            if lo < -80.0:
+                raise NumericError("bracketing failure (low side)")
+        for _ in range(60):
+            if big_m(hi) >= target:
+                break
+            hi += 8.0
+            if hi > 80.0:
+                raise NumericError("bracketing failure (high side)")
+        while hi - lo > eta_tol:
+            mid = 0.5 * (lo + hi)
+            if big_m(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
 
 
 def pfa_bound(dictionary: Dictionary, eta: float,
@@ -278,29 +371,41 @@ def pfa_bound(dictionary: Dictionary, eta: float,
     non-increasing; collapses to the orthogonal closed form when all the
     involved correlations vanish.
     """
-    if neighbors not in ("flanking", "one_sided"):
-        raise DataError(f"unknown neighbor convention {neighbors!r}")
-    m = dictionary.m
-    if m == 1:
+    _check_neighbors(neighbors)
+    if dictionary.m == 1:
         return pfa_exact_orthogonal(1, eta)
-    gamma = _lss_gamma(dictionary)
-    tau = dictionary.tau
-    t = float(eta)
-    M = normal_cdf_2d(t, t, gamma(2.0 * tau))
-    for size in range(3, m + 1):
-        delta = 2.0 * tau / (size - 1)
-        r1 = gamma(delta)
-        r2 = gamma(2.0 * delta)
-        if neighbors == "flanking":
-            den = normal_cdf_2d(t, t, r2)
-            num = normal_cdf_3d(t, t, t, r1, r1, r2)
-        else:
-            den = normal_cdf_2d(t, t, r1)
-            num = normal_cdf_3d(t, t, t, r1, r2, r1)
-        if den <= 0.0:
-            return 1.0
-        M *= num / den
-    return float(min(1.0, max(0.0, 1.0 - M)))
+    recursion = _BoundRecursion(dictionary.reference, dictionary.tau,
+                                neighbors)
+    return recursion.pfa(float(eta), dictionary.m)
+
+
+def threshold_table(reference, tau: float, ms, alpha: float,
+                    eta_tol: float = 1e-8,
+                    neighbors: str = "flanking") -> list:
+    """Bound thresholds for the LSS dictionaries of sizes `ms` over
+    [-tau, tau]: for each m the smallest threshold whose false-alarm bound
+    is at most alpha, found by bisection to eta_tol.
+
+    All sizes share one validated Gamma and one recursion, so M_m(t) at a
+    threshold already visited for a smaller m costs one factor per extra
+    grid size.  Each m runs the same checks and bisection as on its own,
+    so the thresholds equal `threshold_for_pfa`'s bit for bit.  Sizes are
+    processed in the given order; the first failure is raised.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise DataError("alpha must lie in (0, 1)")
+    recursion = None
+    out = []
+    for m in ms:
+        if m < 1:
+            raise DataError("m must be >= 1")
+        if m == 1:
+            out.append(float(ndtri(1.0 - alpha)))
+            continue
+        if recursion is None:
+            recursion = _BoundRecursion(reference, tau, neighbors)
+        out.append(recursion.threshold(m, alpha, eta_tol))
+    return out
 
 
 def threshold_for_pfa(dictionary: Dictionary, alpha: float,
@@ -312,37 +417,5 @@ def threshold_for_pfa(dictionary: Dictionary, alpha: float,
     Monotonicity of M_m in the threshold is asserted numerically on a
     coarse grid before inverting.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DataError("alpha must lie in (0, 1)")
-    if dictionary.m == 1:
-        return float(ndtri(1.0 - alpha))
-
-    def big_m(t):
-        return 1.0 - pfa_bound(dictionary, t, neighbors=neighbors)
-
-    grid = np.linspace(-6.0, 8.0, 29)
-    vals = np.array([big_m(t) for t in grid])
-    if np.any(np.diff(vals) < -1e-10):
-        raise NumericError("bound recursion not monotone in the threshold")
-
-    target = 1.0 - alpha
-    lo, hi = -6.0, 8.0
-    for _ in range(60):
-        if big_m(lo) <= target:
-            break
-        lo -= 8.0
-        if lo < -80.0:
-            raise NumericError("bracketing failure (low side)")
-    for _ in range(60):
-        if big_m(hi) >= target:
-            break
-        hi += 8.0
-        if hi > 80.0:
-            raise NumericError("bracketing failure (high side)")
-    while hi - lo > eta_tol:
-        mid = 0.5 * (lo + hi)
-        if big_m(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return threshold_table(dictionary.reference, dictionary.tau,
+                           [dictionary.m], alpha, eta_tol, neighbors)[0]

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from shiftdetect.cli import main
-from shiftdetect.dictionary import build_lss, gaussian_line_reference
-from shiftdetect.pipeline import Cube, load_cube, save_cube
+from shiftdetect.dictionary import (Dictionary, build_lss,
+                                    gaussian_line_reference)
+from shiftdetect.errors import DataError
+from shiftdetect.pipeline import (Cube, RegionSpec, estimate_reference,
+                                  load_cube, run_detection, save_cube)
 from shiftdetect.simulate import NoiseSpec, SimConfig, generate
 
 
@@ -82,6 +85,29 @@ class TestPreprocessDetectFlow:
     def test_region_outside_cube_exits_2(self, workdir):
         assert run("detect", "--cube", workdir / "prep.fdc",
                    "--center", "10,10,17", "--out", workdir / "maps3") == 2
+
+
+class TestNullFitNoiseFloor:
+    def test_null_fit_builds_the_dictionary_detect_builds(self, tmp_path):
+        # pure noise: the reference averaged from the brightest pixels is
+        # all noise floor, and some of its far-shifted copies overlap
+        # negatively
+        cube = Cube(data=np.random.default_rng(5).standard_normal(
+            (60, 60, 34)))
+        save_cube(cube, tmp_path / "noise.fdc")
+        region = RegionSpec(center_y=30, center_x=30, center_band=17,
+                            half_width=10, fit_half_width=25)
+        with pytest.raises(DataError, match="non-negativity"):
+            build_lss(estimate_reference(cube, region), 15, 7.0)
+        window = ["--cube", tmp_path / "noise.fdc", "--center", "30,30,17",
+                  "--half-width", "10", "--fit-half-width", "25"]
+        assert run("null-fit", *window, "--out-model", tmp_path / "m.csv",
+                   "--out-dict", tmp_path / "d.csv") == 0
+        assert run("detect", *window, "--out", tmp_path / "maps") == 0
+        saved = Dictionary.load_csv(tmp_path / "d.csv")
+        built = run_detection(cube, region).dictionary
+        assert np.array_equal(saved.atoms, built.atoms)
+        assert np.array_equal(saved.shifts, built.shifts)
 
 
 class TestPfaBoundCommand:

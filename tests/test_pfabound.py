@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
-from shiftdetect.dictionary import build_lss, gaussian_line_reference
+from shiftdetect.cli import main
+from shiftdetect.dictionary import (autocorrelation, build_lss,
+                                    gaussian_line_reference)
 from shiftdetect.errors import DataError, NumericError
-from shiftdetect.pfabound import (GaussianCorrModel, normal_cdf_2d,
-                                  normal_cdf_3d, pfa_bound,
-                                  pfa_exact_orthogonal, threshold_for_pfa)
+from shiftdetect.pfabound import (GaussianCorrModel, _BoundRecursion,
+                                  normal_cdf_2d, normal_cdf_3d, pfa_bound,
+                                  pfa_exact_orthogonal, threshold_for_pfa,
+                                  threshold_for_pfa_orthogonal,
+                                  threshold_table)
 
 
 def mc_orthant_2d(h, k, rho, n, rng):
@@ -252,3 +257,121 @@ class TestThresholdForPfa:
     def test_alpha_validation(self, line_dictionary):
         with pytest.raises(DataError):
             threshold_for_pfa(line_dictionary, 0.0)
+
+
+def direct_pfa_bound(reference, m, tau, t, neighbors):
+    """The bound recursion written out afresh for one (m, t), with no
+    shared state: the oracle the shared recursion must match bit for bit."""
+    def gamma(u):
+        return max(0.0, autocorrelation(reference, u))
+
+    big_m = normal_cdf_2d(t, t, gamma(2.0 * tau))
+    for size in range(3, m + 1):
+        delta = 2.0 * tau / (size - 1)
+        r1 = gamma(delta)
+        r2 = gamma(2.0 * delta)
+        if neighbors == "flanking":
+            den = normal_cdf_2d(t, t, r2)
+            num = normal_cdf_3d(t, t, t, r1, r1, r2)
+        else:
+            den = normal_cdf_2d(t, t, r1)
+            num = normal_cdf_3d(t, t, t, r1, r2, r1)
+        if den <= 0.0:
+            return 1.0
+        big_m *= num / den
+    return float(min(1.0, max(0.0, 1.0 - big_m)))
+
+
+_STANDARD_REF = gaussian_line_reference(30, 15, 5.0)
+# one recursion per convention, shared by every example below, so its
+# memo is hit at thresholds and sizes visited in arbitrary order
+_SHARED = {nb: _BoundRecursion(_STANDARD_REF, 8.0, nb)
+           for nb in ("flanking", "one_sided")}
+
+
+class TestSharedRecursion:
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.floats(-6.0, 8.0), m=st.integers(2, 20),
+           first=st.integers(2, 20),
+           neighbors=st.sampled_from(["flanking", "one_sided"]))
+    def test_matches_per_call_bound(self, t, m, first, neighbors):
+        want = direct_pfa_bound(_STANDARD_REF, m, 8.0, t, neighbors)
+        d = build_lss(_STANDARD_REF, m, 8.0, "continuous")
+        assert pfa_bound(d, t, neighbors=neighbors) == want
+        shared = _SHARED[neighbors]
+        shared.pfa(t, first)
+        assert shared.pfa(t, m) == want
+
+    def test_vanished_denominator_gives_one(self):
+        # far below the grid every orthant probability underflows to 0
+        for neighbors in ("flanking", "one_sided"):
+            for m in (2, 3, 20):
+                want = direct_pfa_bound(_STANDARD_REF, m, 8.0, -45.0,
+                                        neighbors)
+                assert want == 1.0
+                assert _SHARED[neighbors].pfa(-45.0, m) == want
+
+    @pytest.mark.parametrize("ms, neighbors", [
+        ([1, 2, 3, 5, 8, 13, 20], "flanking"),
+        ([9, 4], "one_sided"),
+    ])
+    def test_table_equals_per_m_threshold(self, ms, neighbors):
+        table = threshold_table(_STANDARD_REF, 8.0, ms, 0.05,
+                                neighbors=neighbors)
+        for m, eta in zip(ms, table):
+            d = build_lss(_STANDARD_REF, m, 8.0 if m > 1 else 0.0,
+                          "continuous")
+            assert eta == threshold_for_pfa(d, 0.05, neighbors=neighbors)
+
+    def test_table_validates_like_per_m(self):
+        with pytest.raises(DataError, match="alpha"):
+            threshold_table(_STANDARD_REF, 8.0, [2], 1.0)
+        with pytest.raises(DataError, match="neighbor"):
+            threshold_table(_STANDARD_REF, 8.0, [2], 0.05,
+                            neighbors="both")
+        # size 1 needs no recursion, so neither the convention nor the
+        # reference is consulted
+        assert threshold_table(None, 8.0, [1], 0.05, neighbors="both") \
+            == [float(ndtri(0.95))]
+
+    def test_orthogonal_threshold_inverts_exact_rate(self):
+        for m in (1, 7, 20):
+            eta = threshold_for_pfa_orthogonal(m, 0.05)
+            assert pfa_exact_orthogonal(m, eta) == pytest.approx(0.05,
+                                                                 abs=1e-12)
+
+
+# `pfa-bound` on the standard reference, tau 8, m 2..20, alpha 0.05, as
+# printed before the recursion was shared across sizes.
+GOLDEN_TABLE = """\
+m,eta_bound,eta_orthogonal,expected_gain
+2,1.9545083,1.9545083,1.2678971
+3,2.1204088,2.1212014,2.0837499
+4,2.2276023,2.2340025,2.3885477
+5,2.3015129,2.3186792,2.5155507
+6,2.3530664,2.3861698,2.5796817
+7,2.3899483,2.4421108,2.6149869
+8,2.4168039,2.4897777,2.6366508
+9,2.437277,2.5312374,2.6511552
+10,2.4527201,2.5678754,2.6613597
+11,2.4644126,2.6006644,2.6686982
+12,2.4733516,2.6303126,2.6741436
+13,2.4805581,2.6573515,2.6782911
+14,2.4864732,2.6821893,2.6815205
+15,2.4913905,2.7051466,2.6840828
+16,2.4955097,2.7264794,2.686149
+17,2.4989701,2.7463953,2.687839
+18,2.5019605,2.7650652,2.6892386
+19,2.5045695,2.7826308,2.6904104
+20,2.5068633,2.7992115,2.6914013
+"""
+
+
+def test_pfa_bound_command_golden_table(tmp_path, capsys):
+    path = tmp_path / "ref.csv"
+    np.savetxt(path, _STANDARD_REF.values[None, :], fmt="%.17g",
+               delimiter=",")
+    assert main(["pfa-bound", "--reference", str(path), "--center-band",
+                 "15", "--tau", "8", "--m-range", "2..20",
+                 "--alpha", "0.05"]) == 0
+    assert capsys.readouterr().out == GOLDEN_TABLE.replace("\n", "\r\n")

@@ -9,8 +9,9 @@ from shiftdetect.fdr import detect
 from shiftdetect.nullmodel import fit_null
 from shiftdetect.similarity import SimilarityKind
 from shiftdetect.simulate import (GroundTruth, Metrics, NoiseSpec, SimConfig,
-                                  calibrate_glr_null, disk_mask, generate,
-                                  glr_field, glr_pvalues, glr_statistic,
+                                  calibrate_glr_null, disk_mask,
+                                  fdr_snr_sweep, generate, glr_field,
+                                  glr_pvalues, glr_statistic,
                                   pfa_threshold_detect, score, snr,
                                   signal_energy_for_snr, uniform_kernel,
                                   variance_preserving_kernel)
@@ -249,3 +250,12 @@ class TestSimConfigValidation:
     def test_signal_atom_range(self, line_dictionary):
         with pytest.raises(DataError):
             base_config(line_dictionary, signal_atom=15)
+
+
+class TestFdrSnrSweep:
+    def test_pool_matches_serial_bit_for_bit(self, line_dictionary):
+        kw = dict(snr_list=[-14.0], q_list=[0.1, 0.2], runs=2, seed=7,
+                  test_shape=(20, 20), fit_shape=(60, 60))
+        serial = fdr_snr_sweep(line_dictionary, threads=1, **kw)
+        pooled = fdr_snr_sweep(line_dictionary, threads=2, **kw)
+        assert repr(pooled) == repr(serial)
