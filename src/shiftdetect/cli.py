@@ -19,16 +19,13 @@ from .dictionary import (Dictionary, ReferenceAtom, SampledLineModel,
                          build_lss, expected_max_gain,
                          gaussian_line_reference)
 from .errors import DataError, NumericError
-from .fdr import detect
-from .nullmodel import NullModel, fit_null
+from .nullmodel import NullModel
 from .pfabound import threshold_for_pfa_orthogonal, threshold_table
-from .pipeline import (DictionaryParams, FsfKernel, RegionSpec,
-                       estimate_reference, extract, gaussian_fsf, load_cube,
-                       load_cube_csvdir, preprocess, run_detection,
-                       save_cube, save_cube_csvdir, write_maps)
+from .pipeline import (DictionaryParams, FsfKernel, RegionSpec, fit_region,
+                       gaussian_fsf, load_cube, load_cube_csvdir, preprocess,
+                       run_detection, save_cube, save_cube_csvdir, write_maps)
 from .similarity import SimilarityKind
 from .simulate import NoiseSpec, fdr_snr_sweep, glr_contrast, uniform_kernel
-from .teststat import compute_field
 
 
 def _read_config(path) -> dict:
@@ -62,15 +59,41 @@ def _save_any_cube(cube, path, fmt):
         save_cube(cube, path)
 
 
+def _number(text, kind, what):
+    """int(text) or float(text), with malformed text as a DataError."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DataError(f"{what}: expected {kind.__name__}, "
+                        f"got {text!r}") from None
+
+
 def _parse_center(text) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
         raise DataError("--center expects 'row,col,band'")
-    return tuple(int(p) for p in parts)
+    return tuple(_number(p, int, "--center") for p in parts)
 
 
-def _parse_floats(text) -> list:
-    return [float(p) for p in text.split(",") if p]
+def _parse_floats(text, what) -> list:
+    return [_number(p, float, what) for p in text.split(",") if p]
+
+
+def _write_csv(path, header, rows) -> None:
+    """CSV table to a file, or to stdout when path is None."""
+    out = sys.stdout if path is None else open(path, "w", newline="")
+    try:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if out is not sys.stdout:
+            out.close()
+
+
+def _fdr_power_rows(aggregate) -> list:
+    return [[key, q, "%.6g" % row["fdr"], "%.6g" % row["power"]]
+            for (key, q), row in sorted(aggregate.items())]
 
 
 def _load_reference(path, center_band) -> ReferenceAtom:
@@ -91,9 +114,9 @@ def _load_reference(path, center_band) -> ReferenceAtom:
 def _build_fsf(spec) -> FsfKernel:
     kind, _, arg = spec.partition(":")
     if kind == "gaussian":
-        return gaussian_fsf(size=5, sigma=float(arg or 1.0))
+        return gaussian_fsf(size=5, sigma=_number(arg or 1.0, float, "--fsf"))
     if kind == "uniform":
-        size = int(arg or 3)
+        size = _number(arg or 3, int, "--fsf")
         return FsfKernel(np.ones((size, size)))
     if kind == "delta":
         return FsfKernel(np.array([[1.0]]))
@@ -101,19 +124,36 @@ def _build_fsf(spec) -> FsfKernel:
                     "(use gaussian:<sigma>, uniform:<k>, delta)")
 
 
-def _region_from_args(args) -> RegionSpec:
+def _fit_inputs(args) -> tuple:
+    """(cube, region, dictionary params, similarity, saved dictionary or
+    None) of the arguments `_add_fit_args` declares."""
     cy, cx, cb = _parse_center(args.center)
-    return RegionSpec(center_y=cy, center_x=cx, center_band=cb,
-                      half_width=args.half_width, half_bands=args.half_bands,
-                      fit_half_width=args.fit_half_width)
+    region = RegionSpec(center_y=cy, center_x=cx, center_band=cb,
+                        half_width=args.half_width, half_bands=args.half_bands,
+                        fit_half_width=args.fit_half_width)
+    params = DictionaryParams(m=args.m, tau=args.tau, mode=args.mode,
+                              n_center_pixels=args.center_pixels)
+    return (_load_any_cube(args.cube), region, params,
+            SimilarityKind.parse(args.similarity),
+            Dictionary.load_csv(args.dict_in) if args.dict_in else None)
 
 
-def _add_region_args(sub):
+def _add_fit_args(sub):
+    """The inputs of one region fit (see `fit_region`): cube, region,
+    dictionary knobs and an optional saved dictionary."""
+    sub.add_argument("--cube", required=True)
     sub.add_argument("--center", required=True,
                      help="test-window center as 'row,col,band'")
     sub.add_argument("--half-width", type=int, default=25)
     sub.add_argument("--half-bands", type=int, default=15)
     sub.add_argument("--fit-half-width", type=int, default=100)
+    sub.add_argument("--m", type=int, default=15)
+    sub.add_argument("--tau", type=float, default=7.0)
+    sub.add_argument("--mode", default="integer",
+                     choices=["integer", "continuous"])
+    sub.add_argument("--center-pixels", type=int, default=5)
+    sub.add_argument("--dict-in", default=None,
+                     help="reuse a saved dictionary instead of estimating one")
 
 
 def cmd_ingest(args) -> int:
@@ -134,54 +174,26 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_null_fit(args) -> int:
-    cube = _load_any_cube(args.cube)
-    region = _region_from_args(args)
-    kind = SimilarityKind.parse(args.similarity)
-    if args.dict_in:
-        dictionary = Dictionary.load_csv(args.dict_in)
-    else:
-        reference = estimate_reference(cube, region, args.center_pixels)
-        dictionary = build_lss(reference, args.m, args.tau, args.mode,
-                               gram_tol=DictionaryParams().gram_tol)
-    field = compute_field(extract(cube, region.fit_slices()), dictionary,
-                          kind)
-    model = fit_null(field)
+    dictionary, model = fit_region(*_fit_inputs(args))
     model.save_csv(args.out_model)
     if args.out_dict:
         dictionary.save_csv(args.out_dict)
-    print(f"fitted null on {field.n} pixels: mu0={model.mu0_hat:.6g} "
+    print(f"fitted null on {model.n_fit} pixels: mu0={model.mu0_hat:.6g} "
           f"pi0={model.pi0_hat:.6g} n0={model.n0} -> {args.out_model}")
     return 0
 
 
 def cmd_detect(args) -> int:
-    cube = _load_any_cube(args.cube)
-    region = _region_from_args(args)
-    kind = SimilarityKind.parse(args.similarity)
-    pi0_mode, zeta = "empirical", 0.5
-    if args.pi0 == "one":
-        pi0_mode = "one"
-    elif args.pi0.startswith("storey"):
-        pi0_mode = "storey"
-        _, _, z = args.pi0.partition(":")
-        zeta = float(z or 0.5)
-    elif args.pi0 != "empirical":
+    cube, region, params, kind, dictionary = _fit_inputs(args)
+    pi0_mode, _, z = args.pi0.partition(":")
+    if pi0_mode not in ("empirical", "one", "storey") \
+            or (z and pi0_mode != "storey"):
         raise DataError(f"unknown --pi0 {args.pi0!r}")
-
-    dictionary = Dictionary.load_csv(args.dict_in) if args.dict_in else None
+    zeta = _number(z or 0.5, float, "--pi0 storey:<zeta>")
     model = NullModel.load_csv(args.model) if args.model else None
-    params = DictionaryParams(m=args.m, tau=args.tau, mode=args.mode,
-                              n_center_pixels=args.center_pixels)
-    output = run_detection(cube, region, params, q=args.q, kind=kind,
-                           dictionary=dictionary, model=model)
-    if pi0_mode != "empirical":
-        # run_detection uses the empirical plug-in; redo the decision with
-        # the requested one on the same field and model (overlay-level maps
-        # keep the standard procedure)
-        result = detect(output.model, output.field, args.q,
-                        pi0_mode=pi0_mode, zeta=zeta)
-        output.maps["detected"] = output.field.to_map(result.detected)
-        output = dataclasses.replace(output, result=result)
+    output = run_detection(cube, region, params, q=args.q,
+                           kind=kind, dictionary=dictionary, model=model,
+                           pi0_mode=pi0_mode, zeta=zeta)
     write_maps(output, args.out)
     print(f"detections at q={args.q:g}: {output.result.k_hat} of "
           f"{output.field.n} tested pixels -> {args.out}")
@@ -190,49 +202,48 @@ def cmd_detect(args) -> int:
 
 def cmd_simulate(args) -> int:
     conf = _read_config(args.config)
-    l = int(conf.get("l", 30))
-    ref = gaussian_line_reference(l, int(conf.get("ref_center", l // 2)),
-                                  float(conf.get("ref_fwhm", 5.0)),
-                                  float(conf.get("ref_trunc", 6.0)))
+
+    def get(key, default, kind):
+        return _number(conf.get(key, default), kind, f"{args.config}: {key}")
+
+    l = get("l", 30, int)
+    ref = gaussian_line_reference(l, get("ref_center", l // 2, int),
+                                  get("ref_fwhm", 5.0, float),
+                                  get("ref_trunc", 6.0, float))
     mode = conf.get("mode", "integer")
-    dictionary = build_lss(ref, int(conf.get("m", 15)),
-                           float(conf.get("tau", 7.0)), mode)
+    dictionary = build_lss(ref, get("m", 15, int), get("tau", 7.0, float),
+                           mode)
     family = conf.get("noise", "student")
-    noise = NoiseSpec(family=family, sigma=float(conf.get("sigma", 1.0)),
-                      nu=float(conf.get("nu", 5.0)))
+    noise = NoiseSpec(family=family, sigma=get("sigma", 1.0, float),
+                      nu=get("nu", 5.0, float))
     kernel_spec = conf.get("kernel", "uniform3")
     if kernel_spec == "none":
         kernel = None
     elif kernel_spec.startswith("uniform"):
-        kernel = uniform_kernel(int(kernel_spec[len("uniform"):] or 3))
+        kernel = uniform_kernel(_number(kernel_spec[len("uniform"):] or 3,
+                                        int, f"{args.config}: kernel"))
     else:
         raise DataError(f"unknown kernel spec {kernel_spec!r}")
     kind = SimilarityKind.parse(conf.get("similarity", args.similarity))
-    snr_list = _parse_floats(conf.get("snr_list", "-24,-21,-18,-15"))
-    q_list = _parse_floats(conf.get("q_list", "0.02,0.05,0.1,0.2"))
+    snr_list = _parse_floats(conf.get("snr_list", "-24,-21,-18,-15"),
+                             f"{args.config}: snr_list")
+    q_list = _parse_floats(conf.get("q_list", "0.02,0.05,0.1,0.2"),
+                           f"{args.config}: q_list")
 
     records, aggregate = fdr_snr_sweep(
         dictionary, snr_list, q_list, runs=args.runs, seed=args.seed,
-        test_shape=(int(conf.get("ny", 51)), int(conf.get("nx", 51))),
-        fit_shape=(int(conf.get("fit_ny", 200)), int(conf.get("fit_nx", 200))),
-        noise=noise, pi0=float(conf.get("pi0", 0.81)), kernel=kernel,
+        test_shape=(get("ny", 51, int), get("nx", 51, int)),
+        fit_shape=(get("fit_ny", 200, int), get("fit_nx", 200, int)),
+        noise=noise, pi0=get("pi0", 0.81, float), kernel=kernel,
         kind=kind, threads=args.threads)
 
     os.makedirs(args.out, exist_ok=True)
     runs_path = os.path.join(args.out, "runs.csv")
-    with open(runs_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["snr", "q", "rep", "fdp",
-                                                "power", "detections",
-                                                "pi0_hat"])
-        writer.writeheader()
-        writer.writerows(records)
+    fields = ["snr", "q", "rep", "fdp", "power", "detections", "pi0_hat"]
+    _write_csv(runs_path, fields, [[r[f] for f in fields] for r in records])
     agg_path = os.path.join(args.out, "aggregate.csv")
-    with open(agg_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr", "q", "fdr", "power"])
-        for (snr_db, q), row in sorted(aggregate.items()):
-            writer.writerow([snr_db, q, "%.6g" % row["fdr"],
-                             "%.6g" % row["power"]])
+    _write_csv(agg_path, ["snr", "q", "fdr", "power"],
+               _fdr_power_rows(aggregate))
     print(f"wrote {runs_path} and {agg_path}")
     return 0
 
@@ -262,16 +273,9 @@ def cmd_pfa_bound(args) -> int:
              expected_max_gain(reference, m, args.tau, args.amplitude)
              if m >= 2 else args.amplitude)
             for m, eta in zip(ms, etas)]
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["m", "eta_bound", "eta_orthogonal",
-                         "expected_gain"])
-        for row in rows:
-            writer.writerow([row[0]] + ["%.8g" % v for v in row[1:]])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.out, ["m", "eta_bound", "eta_orthogonal",
+                          "expected_gain"],
+               [[row[0]] + ["%.8g" % v for v in row[1:]] for row in rows])
     return 0
 
 
@@ -280,19 +284,11 @@ def cmd_glr_compare(args) -> int:
     ref = gaussian_line_reference(l, l // 2, args.ref_fwhm)
     dictionary = build_lss(ref, args.m, args.tau, "integer")
     noise = NoiseSpec(family=args.noise, nu=args.nu)
-    q_list = _parse_floats(args.q_grid)
+    q_list = _parse_floats(args.q_grid, "--q-grid")
     _, aggregate = glr_contrast(dictionary, noise, q_list, runs=args.runs,
                                 seed=args.seed)
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["method", "q", "fdr", "power"])
-        for (method, q), row in sorted(aggregate.items()):
-            writer.writerow([method, q, "%.6g" % row["fdr"],
-                             "%.6g" % row["power"]])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.out, ["method", "q", "fdr", "power"],
+               _fdr_power_rows(aggregate))
     return 0
 
 
@@ -326,32 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("null-fit", help="fit the null model on a region")
-    p.add_argument("--cube", required=True)
-    _add_region_args(p)
-    p.add_argument("--m", type=int, default=15)
-    p.add_argument("--tau", type=float, default=7.0)
-    p.add_argument("--mode", default="integer",
-                   choices=["integer", "continuous"])
-    p.add_argument("--center-pixels", type=int, default=5)
-    p.add_argument("--dict-in", default=None,
-                   help="reuse a saved dictionary instead of estimating one")
+    _add_fit_args(p)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-dict", default=None)
     p.set_defaults(func=cmd_null_fit)
 
     p = sub.add_parser("detect", help="detection maps for a region")
-    p.add_argument("--cube", required=True)
-    _add_region_args(p)
+    _add_fit_args(p)
     p.add_argument("--q", type=float, default=0.2)
     p.add_argument("--pi0", default="empirical",
                    help="empirical | storey:<zeta> | one")
-    p.add_argument("--m", type=int, default=15)
-    p.add_argument("--tau", type=float, default=7.0)
-    p.add_argument("--mode", default="integer",
-                   choices=["integer", "continuous"])
-    p.add_argument("--center-pixels", type=int, default=5)
     p.add_argument("--model", default=None, help="saved null model CSV")
-    p.add_argument("--dict-in", default=None, help="saved dictionary CSV")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_detect)
 

@@ -259,8 +259,8 @@ def build_lss(reference: ReferenceAtom, m: int, tau: float,
     """
     if m < 1:
         raise DataError("m must be >= 1")
-    if tau < 0:
-        raise DataError("tau must be >= 0")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise DataError("tau must be finite and >= 0")
     if mode not in (MODE_INTEGER, MODE_CONTINUOUS):
         raise DataError(f"unknown shift mode {mode!r}")
     if m == 1:

@@ -15,13 +15,54 @@ from .teststat import TestField
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Per-pixel p-values, q-values and the binary decision at nominal_q."""
+    """Per-pixel p-values, q-values and the binary decision at nominal_q,
+    with the plug-in pi0 and the stable sort order of the p-values, which
+    `detected_at` reuses to decide at any other level."""
 
     pvalues: np.ndarray
     qvalues: np.ndarray
     detected: np.ndarray
     k_hat: int
     nominal_q: float
+    pi0: float
+    order: np.ndarray
+
+    def detected_at(self, level: float) -> np.ndarray:
+        """The decision set detect(..., level) gives on these p-values with
+        this pi0."""
+        return _plug_in_step_up(self.pvalues, self.order, self.pi0, level)
+
+
+def _plug_in_step_up(p: np.ndarray, order: np.ndarray, pi0: float,
+                     level: float) -> np.ndarray:
+    """Step-up decisions at min(level/pi0, 1); level 0 rejects nothing,
+    not even p = 0."""
+    if not (0.0 <= level < 1.0):
+        raise DataError("q must lie in [0, 1)")
+    if level == 0.0:
+        return np.zeros(p.size, dtype=bool)
+    return _step_up(p, order, min(level / pi0, 1.0))
+
+
+def _step_up(p: np.ndarray, order: np.ndarray, level: float) -> np.ndarray:
+    """Reject the k_hat smallest p-values (ties together) at `level`."""
+    n = p.size
+    ps = p[order]
+    passing = np.nonzero(ps <= level * np.arange(1, n + 1) / n)[0]
+    if not passing.size:
+        return np.zeros(n, dtype=bool)
+    return p <= ps[passing[-1]]
+
+
+def _qvalues(p: np.ndarray, order: np.ndarray, pi0: float) -> np.ndarray:
+    if not (0.0 < pi0 <= 1.0):
+        raise DataError("pi0 must lie in (0, 1]")
+    n = p.size
+    raw = pi0 * p[order] * n / np.arange(1, n + 1)
+    q = np.minimum.accumulate(raw[::-1])[::-1]
+    out = np.empty(n)
+    out[order] = np.minimum(q, 1.0)
+    return out
 
 
 def bh_reject(pvalues, q: float, pi0: float = 1.0) -> DetectionResult:
@@ -29,25 +70,18 @@ def bh_reject(pvalues, q: float, pi0: float = 1.0) -> DetectionResult:
     k_hat = max{k : p_(k) <= q*k/n} (with p_(0) = 0, so k_hat may be 0).
 
     Tied p-values are rejected or kept together.  q-values in the result use
-    the supplied pi0 (default 1, the plain procedure).
+    the supplied pi0 (default 1, the plain procedure), and so does the
+    result's `detected_at`.
     """
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DataError("pvalues must be a non-empty 1-d vector")
     if not (0.0 <= q <= 1.0):
         raise DataError("q must lie in [0, 1]")
-    n = p.size
-    ps = np.sort(p, kind="stable")
-    thresholds = q * np.arange(1, n + 1) / n
-    passing = np.nonzero(ps <= thresholds)[0]
-    k_hat = int(passing[-1]) + 1 if passing.size else 0
-    if k_hat:
-        detected = p <= ps[k_hat - 1]
-        k_hat = int(np.count_nonzero(detected))
-    else:
-        detected = np.zeros(n, dtype=bool)
-    return DetectionResult(pvalues=p, qvalues=qvalues(p, pi0),
-                           detected=detected, k_hat=k_hat, nominal_q=q)
+    order = np.argsort(p, kind="stable")
+    detected = _step_up(p, order, q)
+    return DetectionResult(p, _qvalues(p, order, pi0), detected,
+                           int(np.count_nonzero(detected)), q, pi0, order)
 
 
 def qvalues(pvalues, pi0: float = 1.0) -> np.ndarray:
@@ -55,15 +89,7 @@ def qvalues(pvalues, pi0: float = 1.0) -> np.ndarray:
     running minimum (from the largest p downward) of pi0 * p_(k) * n / k,
     clipped to [0, 1]."""
     p = np.asarray(pvalues, dtype=float)
-    if not (0.0 < pi0 <= 1.0):
-        raise DataError("pi0 must lie in (0, 1]")
-    n = p.size
-    order = np.argsort(p, kind="stable")
-    raw = pi0 * p[order] * n / np.arange(1, n + 1)
-    q = np.minimum.accumulate(raw[::-1])[::-1]
-    out = np.empty(n)
-    out[order] = np.minimum(q, 1.0)
-    return out
+    return _qvalues(p, np.argsort(p, kind="stable"), pi0)
 
 
 def storey_pi0(pvalues, zeta) -> float:
@@ -76,9 +102,10 @@ def storey_pi0(pvalues, zeta) -> float:
     ``empirical_pvalues``.
     """
     p = np.asarray(pvalues, dtype=float)
-    zeta_exact = Fraction(zeta) if not isinstance(zeta, Fraction) else zeta
-    if not (0 <= zeta_exact < 1):
+    # a NaN or infinite zeta fails this test before Fraction sees it
+    if not (0 <= zeta < 1):
         raise DataError("zeta must lie in [0, 1)")
+    zeta_exact = Fraction(zeta)
     n = p.size
     if n == 0:
         raise DataError("pvalues must be non-empty")
@@ -99,15 +126,11 @@ def detect(model: NullModel, field: TestField, q: float,
 
     pi0_mode selects the plug-in: "empirical" (the null model's estimate,
     the default procedure), "storey:<zeta>"-style via pi0_mode="storey",
-    or "one" (no correction).  q-values use the same pi0 so that
-    thresholding them at q agrees with the decision set.
+    or "one" (no correction).  q-values use the same pi0.  The p-values
+    are computed and sorted once; `detected_at(level)` on the result gives
+    the decision at any other level, equal to detect(..., level).detected.
+    q = 0 rejects nothing.
     """
-    if not (0.0 < q < 1.0):
-        if q == 0.0:
-            p = empirical_pvalues(model, field)
-            return DetectionResult(p, qvalues(p, model.pi0_hat),
-                                   np.zeros(p.size, dtype=bool), 0, 0.0)
-        raise DataError("q must lie in (0, 1)")
     p = empirical_pvalues(model, field)
     if pi0_mode == "empirical":
         pi0 = model.pi0_hat
@@ -117,8 +140,7 @@ def detect(model: NullModel, field: TestField, q: float,
         pi0 = 1.0
     else:
         raise DataError(f"unknown pi0_mode {pi0_mode!r}")
-    level = min(q / pi0, 1.0)
-    result = bh_reject(p, level, pi0=pi0)
-    return DetectionResult(pvalues=result.pvalues, qvalues=result.qvalues,
-                           detected=result.detected, k_hat=result.k_hat,
-                           nominal_q=q)
+    order = np.argsort(p, kind="stable")
+    detected = _plug_in_step_up(p, order, pi0, q)
+    return DetectionResult(p, _qvalues(p, order, pi0), detected,
+                           int(np.count_nonzero(detected)), q, pi0, order)

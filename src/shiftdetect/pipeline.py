@@ -305,6 +305,19 @@ def preprocess(cube: Cube, fsf: Optional[FsfKernel] = None,
 # reference estimation and detection
 
 
+def _brightest_pixels(cube: Cube, region: RegionSpec,
+                      n_center_pixels: int):
+    """Test-window subcube, its (pixels, bands) spectra and the flat indices
+    of its n brightest pixels: summed flux over the spectral window, masked
+    pixels last, ties broken by row-major order."""
+    if n_center_pixels < 1:
+        raise DataError("n_center_pixels must be >= 1")
+    sub = extract(cube, region.test_slices())
+    flat = sub.data.reshape(-1, sub.shape[2])
+    flux = np.where(np.isnan(flat).any(axis=1), -np.inf, flat.sum(axis=1))
+    return sub, flat, np.argsort(-flux, kind="stable")[:n_center_pixels]
+
+
 def estimate_reference(cube: Cube, region: RegionSpec,
                        n_center_pixels: int = 5) -> ReferenceAtom:
     """Average the spectra of the brightest pixels of the test window.
@@ -313,12 +326,7 @@ def estimate_reference(cube: Cube, region: RegionSpec,
     row-major pixel order.  The average is l2-normalized and centered on
     the window's middle band.
     """
-    if n_center_pixels < 1:
-        raise DataError("n_center_pixels must be >= 1")
-    sub = extract(cube, region.test_slices())
-    flat = sub.data.reshape(-1, sub.shape[2])
-    flux = np.where(np.isnan(flat).any(axis=1), -np.inf, flat.sum(axis=1))
-    order = np.argsort(-flux, kind="stable")[:n_center_pixels]
+    _, flat, order = _brightest_pixels(cube, region, n_center_pixels)
     spectra = flat[order]
     if np.isnan(spectra).any():
         raise DataError("not enough unmasked pixels for the reference")
@@ -332,14 +340,10 @@ def reference_pixel_mask(cube: Cube, region: RegionSpec,
     """Boolean map (test-window grid) of the pixels averaged into the
     reference spectrum.  These pixels stay in the tested set but trivially
     match the dictionary they defined, so output maps flag them."""
-    sub = extract(cube, region.test_slices())
-    n_y, n_x = sub.shape[0], sub.shape[1]
-    flat = sub.data.reshape(-1, sub.shape[2])
-    flux = np.where(np.isnan(flat).any(axis=1), -np.inf, flat.sum(axis=1))
-    order = np.argsort(-flux, kind="stable")[:n_center_pixels]
-    mask = np.zeros(n_y * n_x, dtype=bool)
+    sub, flat, order = _brightest_pixels(cube, region, n_center_pixels)
+    mask = np.zeros(flat.shape[0], dtype=bool)
     mask[order] = True
-    return mask.reshape(n_y, n_x)
+    return mask.reshape(sub.shape[0], sub.shape[1])
 
 
 @dataclass(frozen=True)
@@ -367,38 +371,56 @@ class DetectionOutput:
     maps: dict = field(repr=False, default_factory=dict)
 
 
+def fit_region(cube: Cube, region: RegionSpec,
+               dict_params: DictionaryParams = DictionaryParams(),
+               kind: SimilarityKind = SimilarityKind.SPECTRAL_ANGLE,
+               dictionary: Optional[Dictionary] = None,
+               model: Optional[NullModel] = None) -> tuple:
+    """The (dictionary, null model) pair of one neighborhood, each built
+    here unless supplied.
+
+    The dictionary comes from the reference spectrum estimated on the test
+    window; the null is fitted on the statistics of the extended fit window.
+    """
+    if dictionary is None:
+        reference = estimate_reference(cube, region,
+                                       dict_params.n_center_pixels)
+        dictionary = build_lss(reference, dict_params.m, dict_params.tau,
+                               dict_params.mode,
+                               gram_tol=dict_params.gram_tol)
+    if model is None:
+        model = fit_null(compute_field(extract(cube, region.fit_slices()),
+                                       dictionary, kind))
+    return dictionary, model
+
+
 def run_detection(cube: Cube, region: RegionSpec,
                   dict_params: DictionaryParams = DictionaryParams(),
                   q: float = 0.2,
                   kind: SimilarityKind = SimilarityKind.SPECTRAL_ANGLE,
                   dictionary: Optional[Dictionary] = None,
-                  model: Optional[NullModel] = None) -> DetectionOutput:
+                  model: Optional[NullModel] = None,
+                  pi0_mode: str = "empirical",
+                  zeta: float = 0.5) -> DetectionOutput:
     """Full decision workflow on one spatial-spectral neighborhood.
 
-    Builds the shift dictionary from the estimated reference spectrum
-    (unless one is supplied), fits the null model on the extended window
-    (unless one is supplied), computes p/q-values on the test window and
-    applies the plug-in step-up rule at level q.  Output maps hold the
-    p-values, q-values, the decision at q, the decision sets at the
-    standard overlay levels, and (when the reference was estimated here)
-    a flag map of the pixels that defined it.
+    Builds the shift dictionary and fits the null model (see `fit_region`),
+    computes p/q-values on the test window and applies the plug-in step-up
+    rule at level q, with the null proportion chosen by pi0_mode and zeta
+    (see `detect`).  Output maps hold the p-values, q-values, the decision
+    at q, the decision sets at the standard overlay levels, and (when the
+    reference was estimated here) a flag map of the pixels that defined it.
+    Every map comes from one decision on the test field.
     """
     ref_mask = None
     if dictionary is None:
-        reference = estimate_reference(cube, region,
-                                       dict_params.n_center_pixels)
         ref_mask = reference_pixel_mask(cube, region,
                                         dict_params.n_center_pixels)
-        dictionary = build_lss(reference, dict_params.m, dict_params.tau,
-                               dict_params.mode,
-                               gram_tol=dict_params.gram_tol)
-    if model is None:
-        fit_field = compute_field(extract(cube, region.fit_slices()),
-                                  dictionary, kind)
-        model = fit_null(fit_field)
+    dictionary, model = fit_region(cube, region, dict_params, kind,
+                                   dictionary, model)
     test_field = compute_field(extract(cube, region.test_slices()),
                                dictionary, kind)
-    result = detect(model, test_field, q)
+    result = detect(model, test_field, q, pi0_mode, zeta)
     maps = {
         "pvalue": test_field.to_map(result.pvalues),
         "qvalue": test_field.to_map(result.qvalues),
@@ -409,7 +431,7 @@ def run_detection(cube: Cube, region: RegionSpec,
     }
     for level in CONTOUR_LEVELS:
         maps[f"detected_q{level:g}"] = test_field.to_map(
-            detect(model, test_field, level).detected)
+            result.detected_at(level))
     if ref_mask is not None:
         maps["reference_pixels"] = ref_mask
     return DetectionOutput(result=result, model=model, dictionary=dictionary,

@@ -17,7 +17,7 @@ from scipy import ndimage
 from .dictionary import Dictionary
 from .errors import DataError
 from .fdr import DetectionResult, bh_reject, detect
-from .nullmodel import NullModel, empirical_pvalues, fit_null
+from .nullmodel import fit_null
 from .pipeline import Cube
 from .similarity import SimilarityKind
 from .teststat import TestField, compute_field
@@ -292,16 +292,16 @@ def _residual_band_variances(data: np.ndarray, dictionary: Dictionary,
     return np.var(resid, axis=0, ddof=1)
 
 
-def pfa_threshold_detect(field: TestField, model: NullModel,
+def pfa_threshold_detect(field: TestField, result: DetectionResult,
                          eta_pfa: float) -> np.ndarray:
-    """Per-pixel control only: flag p < eta with no multiplicity
-    correction.  Returns a boolean map on the field's grid."""
+    """Per-pixel control only: flag p < eta, reading the p-values of a
+    decision on `field`, with no multiplicity correction.  Returns a
+    boolean map on the field's grid."""
     if not (0.0 < eta_pfa <= 1.0):
         raise DataError("eta_pfa must lie in (0, 1]")
     if eta_pfa == 1.0:
         return field.to_map(np.ones(field.n, dtype=bool))
-    p = empirical_pvalues(model, field)
-    return field.to_map(p < eta_pfa)
+    return field.to_map(result.pvalues < eta_pfa)
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +316,15 @@ class Metrics:
     power: float
 
 
-def score(result, truth: GroundTruth, field: Optional[TestField] = None
-          ) -> Metrics:
+def score(detected, truth: GroundTruth) -> Metrics:
     """Count detections against the ground truth.
 
-    `result` is a boolean map, a flat boolean vector in row-major pixel
-    order, or a DetectionResult (then `field` supplies pixel positions when
-    the tested pixels do not simply tile the grid).
+    `detected` is a boolean map or a flat boolean vector in row-major pixel
+    order.
     """
-    if isinstance(result, DetectionResult):
-        flat = result.detected
-        if field is not None:
-            detected = field.to_map(flat)
-        else:
-            detected = flat.reshape(truth.h1_mask.shape)
-    else:
-        detected = np.asarray(result)
-        if detected.shape != truth.h1_mask.shape:
-            detected = detected.reshape(truth.h1_mask.shape)
+    detected = np.asarray(detected)
+    if detected.shape != truth.h1_mask.shape:
+        detected = detected.reshape(truth.h1_mask.shape)
     if detected.shape != truth.h1_mask.shape:
         raise DataError("detection map and truth shapes differ")
     r = int(np.count_nonzero(detected))
@@ -372,10 +363,11 @@ def _sweep_replicate(task):
     test_cube, truth = generate(test_cfg)
     model = fit_null(compute_field(fit_cube, dictionary, kind))
     test_field = compute_field(test_cube, dictionary, kind)
+    # one decision per field; every level reads from it
+    result = detect(model, test_field, 0.0)
     out = []
     for q in q_list:
-        res = detect(model, test_field, q)
-        m = score(res, truth, test_field)
+        m = score(test_field.to_map(result.detected_at(q)), truth)
         out.append({"snr": snr_db, "q": q, "rep": rep,
                     "fdp": m.fdp, "power": m.power,
                     "detections": m.true_detections + m.false_detections,
@@ -414,16 +406,20 @@ def fdr_snr_sweep(dictionary: Dictionary, snr_list, q_list, runs: int,
     else:
         chunks = [_sweep_replicate(t) for t in tasks]
     records = [row for chunk in chunks for row in chunk]
+    return records, _mean_fdr_power(records, "snr", snr_list, q_list)
+
+
+def _mean_fdr_power(records, key: str, groups, q_list) -> dict:
+    """Mean FDP (as "fdr") and power of the records per (record[key], q)."""
     aggregate = {}
-    for snr_db in snr_list:
+    for group in groups:
         for q in q_list:
-            sel = [r for r in records
-                   if r["snr"] == snr_db and r["q"] == q]
-            aggregate[(snr_db, q)] = {
+            sel = [r for r in records if r[key] == group and r["q"] == q]
+            aggregate[(group, q)] = {
                 "fdr": float(np.mean([r["fdp"] for r in sel])),
                 "power": float(np.mean([r["power"] for r in sel])),
             }
-    return records, aggregate
+    return aggregate
 
 
 def glr_contrast(dictionary: Dictionary, noise: NoiseSpec, q_list,
@@ -462,26 +458,18 @@ def glr_contrast(dictionary: Dictionary, noise: NoiseSpec, q_list,
         sigma_diag = _residual_band_variances(cube.data, dictionary,
                                               null_sample)
         g_stats = glr_field(cube, dictionary, sigma_diag)
-        g_p = glr_pvalues(g_stats, null_sample)
+        # one decision per field; every level reads from it
+        res = detect(model, field, 0.0)
+        g_res = bh_reject(glr_pvalues(g_stats, null_sample), 0.0)
         for q in q_list:
-            res = detect(model, field, q)
-            m = score(res, truth, field)
-            records.append({"method": "maxtest", "q": q, "rep": rep,
-                            "fdp": m.fdp, "power": m.power})
-            g_res = bh_reject(g_p, q)
-            gm = score(g_res.detected, truth)
-            records.append({"method": "glr", "q": q, "rep": rep,
-                            "fdp": gm.fdp, "power": gm.power})
-    aggregate = {}
-    for method in ("maxtest", "glr"):
-        for q in q_list:
-            sel = [r for r in records
-                   if r["method"] == method and r["q"] == q]
-            aggregate[(method, q)] = {
-                "fdr": float(np.mean([r["fdp"] for r in sel])),
-                "power": float(np.mean([r["power"] for r in sel])),
-            }
-    return records, aggregate
+            for method, detected in (
+                    ("maxtest", field.to_map(res.detected_at(q))),
+                    ("glr", g_res.detected_at(q))):
+                m = score(detected, truth)
+                records.append({"method": method, "q": q, "rep": rep,
+                                "fdp": m.fdp, "power": m.power})
+    return records, _mean_fdr_power(records, "method", ("maxtest", "glr"),
+                                    q_list)
 
 
 def disk_mask(shape, center, n_pixels: int) -> np.ndarray:
@@ -537,12 +525,12 @@ def threshold_comparison(dictionary: Dictionary, regions: int = 5,
         for label, cube, truth in (("noise", noise_cube, truth_noise),
                                    ("source", source_cube, truth_src)):
             fld = compute_field(cube, dictionary, kind)
+            res = detect(model, fld, fdr_level)
             for eta in pfa_levels:
-                m = score(pfa_threshold_detect(fld, model, eta), truth)
+                m = score(pfa_threshold_detect(fld, res, eta), truth)
                 rows.append({"region": region, "cond": label,
                              "detector": f"pfa@{eta:g}", "metrics": m})
-            res = detect(model, fld, fdr_level)
-            m = score(res, truth, fld)
+            m = score(fld.to_map(res.detected), truth)
             rows.append({"region": region, "cond": label,
                          "detector": f"fdr@{fdr_level:g}", "metrics": m})
     summary = {}

@@ -87,6 +87,68 @@ class TestPreprocessDetectFlow:
                    "--center", "10,10,17", "--out", workdir / "maps3") == 2
 
 
+class TestPi0Modes:
+    @pytest.fixture(scope="class")
+    def cube_path(self, tmp_path_factory):
+        """A cube on which --pi0 one decides differently from the
+        empirical plug-in at q = 0.2."""
+        ref = gaussian_line_reference(34, 17, 5.0)
+        d = build_lss(ref, 15, 7.0, "integer")
+        cfg = SimConfig(n_y=240, n_x=240, l=34, noise=NoiseSpec("gaussian"),
+                        dictionary=d, pi0=0.85, seed=2, signal_atom=7,
+                        amplitude_range=(0.5, 3.0))
+        cube, _ = generate(cfg)
+        path = tmp_path_factory.mktemp("pi0") / "cube.fdc"
+        save_cube(cube, path)
+        return path
+
+    @pytest.mark.parametrize("spec", ["empirical", "one", "storey:0.5"])
+    def test_every_map_uses_the_requested_pi0(self, cube_path, spec,
+                                              tmp_path):
+        assert run("detect", "--cube", cube_path, "--center", "120,120,17",
+                   "--q", "0.2", "--pi0", spec, "--out", tmp_path) == 0
+
+        def load(name):
+            return np.loadtxt(tmp_path / f"map_{name}.csv", delimiter=",")
+
+        detected = load("detected")
+        assert detected.sum() > 0
+        assert np.array_equal(detected, load("detected_q0.2"))
+        assert np.array_equal(detected == 1, load("qvalue") <= 0.2)
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("argv, config", [
+        pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "nan",
+                      "--m-range", "2..3"], None, id="pfa-bound-tau-nan"),
+        pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "inf",
+                      "--m-range", "2..3"], None, id="pfa-bound-tau-inf"),
+        pytest.param(["detect", "--cube", "{cube}", "--center", "120,120,17",
+                      "--tau", "nan", "--out", "{out}"], None,
+                     id="detect-tau-nan"),
+        pytest.param(["detect", "--cube", "{cube}", "--center", "120,120,17",
+                      "--pi0", "storey:x", "--out", "{out}"], None,
+                     id="detect-pi0-storey-x"),
+        pytest.param(["detect", "--cube", "{cube}", "--center", "120,120,x",
+                      "--out", "{out}"], None, id="detect-center-x"),
+        pytest.param(["preprocess", "--cube", "{cube}", "--out", "{out}",
+                      "--fsf", "gaussian:x"], None, id="preprocess-fsf-x"),
+        pytest.param(["glr-compare", "--q-grid", "0.1,x", "--runs", "1"],
+                     None, id="glr-compare-q-grid-x"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}"],
+                     "l=abc\n", id="simulate-l-abc"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}"],
+                     "snr_list=-20,x\n", id="simulate-snr-list-x"),
+    ])
+    def test_exits_2(self, workdir, tmp_path, argv, config):
+        conf = tmp_path / "bad.conf"
+        if config is not None:
+            conf.write_text(config)
+        paths = dict(ref=workdir / "ref.csv", cube=workdir / "raw.fdc",
+                     out=tmp_path / "out", conf=conf)
+        assert run(*[a.format(**paths) for a in argv]) == 2
+
+
 class TestNullFitNoiseFloor:
     def test_null_fit_builds_the_dictionary_detect_builds(self, tmp_path):
         # pure noise: the reference averaged from the brightest pixels is

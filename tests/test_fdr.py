@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from shiftdetect.errors import DataError
 from shiftdetect.fdr import bh_reject, detect, qvalues, storey_pi0
@@ -192,3 +193,48 @@ class TestDetect:
         res = detect(model, compute_field(test_cube, line_dictionary, kind),
                      0.2)
         assert res.pvalues.size == 400
+
+
+def step_up_set(p, level):
+    """Decision set of the brute-force scan: every p <= p_(k_hat)."""
+    k = bh_bruteforce(p, level)
+    return p <= np.sort(p)[k - 1] if k else np.zeros(p.size, dtype=bool)
+
+
+# integer statistics: pooled null values and test statistics tie often, so
+# the p-values are quantised counts c/(2 n0) with many ties
+int_stats = st.lists(st.integers(-4, 6), min_size=2, max_size=60)
+levels = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.4]),
+                   st.floats(0.0, 1.0, exclude_max=True))
+
+
+class TestDecisionsFromOneSort:
+    @settings(max_examples=300, deadline=None)
+    @given(fit_max=int_stats, test_max=int_stats,
+           gaps=st.lists(st.integers(0, 3), min_size=60, max_size=60),
+           mode=st.sampled_from(["empirical", "one", "storey"]),
+           zeta=st.sampled_from([0.25, 0.5, 0.75]), q=levels,
+           extra=st.lists(levels, min_size=1, max_size=4))
+    def test_detected_at_equals_fresh_decision_and_scan(
+            self, fit_max, test_max, gaps, mode, zeta, q, extra):
+        fit_max = np.array(fit_max, dtype=float)
+        fit_field = make_field(fit_max, fit_max - gaps[:fit_max.size])
+        try:
+            model = fit_null(fit_field)
+        except DataError:
+            assume(False)
+        test_max = np.array(test_max, dtype=float)
+        field = make_field(test_max, test_max - gaps[:test_max.size])
+        result = detect(model, field, q, pi0_mode=mode, zeta=zeta)
+        p = empirical_pvalues(model, field)
+        assert np.array_equal(result.pvalues, p)
+        pi0 = {"empirical": model.pi0_hat, "one": 1.0,
+               "storey": storey_pi0(p, zeta)}[mode]
+        assert result.pi0 == pi0
+        for level in [q] + extra:
+            fresh = detect(model, field, level, pi0_mode=mode, zeta=zeta)
+            scan = (step_up_set(p, min(level / pi0, 1.0)) if level > 0
+                    else np.zeros(p.size, dtype=bool))
+            assert np.array_equal(result.detected_at(level), fresh.detected)
+            assert np.array_equal(fresh.detected, scan)
+            assert np.array_equal(fresh.qvalues, result.qvalues)

@@ -188,7 +188,7 @@ class TestPfaThresholdDetect:
         cube, _ = generate(cfg)
         field = compute_field(cube, line_dictionary, SAD)
         model = fit_null(field)
-        out = pfa_threshold_detect(field, model, 1.0)
+        out = pfa_threshold_detect(field, detect(model, field, 0.0), 1.0)
         assert out.all()
 
     def test_noise_only_count_near_expectation(self, line_dictionary):
@@ -201,7 +201,8 @@ class TestPfaThresholdDetect:
         test_cube, _ = generate(test_cfg)
         model = fit_null(compute_field(fit_cube, line_dictionary, SAD))
         field = compute_field(test_cube, line_dictionary, SAD)
-        count = int(pfa_threshold_detect(field, model, 0.05).sum())
+        result = detect(model, field, 0.0)
+        count = int(pfa_threshold_detect(field, result, 0.05).sum())
         lo = stats.binom.ppf(0.005, 2500, 0.05)
         hi = stats.binom.ppf(0.995, 2500, 0.05)
         assert lo <= count <= hi
@@ -223,14 +224,14 @@ class TestScore:
         m = score(np.array([[False, False]]), truth)
         assert m.fdp == 0.0 and m.power == 0.0
 
-    def test_detection_result_path(self, line_dictionary):
+    def test_flat_vector_path(self, line_dictionary):
         cfg = base_config(line_dictionary, n_y=20, n_x=20)
         cube, truth = generate(cfg)
         field = compute_field(cube, line_dictionary, SAD)
         res = detect(fit_null(field), field, 0.2)
-        m_res = score(res, truth, field)
+        m_flat = score(res.detected, truth)
         m_map = score(field.to_map(res.detected), truth)
-        assert m_res == m_map
+        assert m_flat == m_map
 
     def test_disk_mask_count_and_determinism(self):
         mask = disk_mask((50, 50), (25, 25), 185)
