@@ -13,19 +13,19 @@ from .dictionary import (Dictionary, GaussianLineModel, ReferenceAtom,
 from .errors import DataError, NumericError
 from .fdr import DetectionResult, bh_reject, detect, qvalues, storey_pi0
 from .nullmodel import NullModel, empirical_pvalues, fit_null, null_cdf
-from .pfabound import (GaussianCorrModel, normal_cdf_2d, normal_cdf_3d,
-                       pfa_bound, pfa_exact_orthogonal, threshold_for_pfa)
+from .pfabound import (normal_cdf_2d, normal_cdf_3d, pfa_bound,
+                       pfa_exact_orthogonal, threshold_for_pfa)
 from .pipeline import (Cube, DetectionOutput, DictionaryParams, FsfKernel,
                        RegionSpec, estimate_reference, extract, gaussian_fsf,
                        reference_pixel_mask,
                        load_cube, load_cube_csvdir, preprocess,
                        run_detection, save_cube, save_cube_csvdir,
                        write_maps, write_pgm)
-from .similarity import SimilarityKind, similarity
+from .similarity import SimilarityKind
 from .simulate import (GroundTruth, Metrics, NoiseSpec, SimConfig,
                        calibrate_glr_null, disk_mask, fdr_snr_sweep,
                        generate, glr_contrast, glr_field, glr_pvalues,
-                       glr_statistic, pfa_threshold_detect, score, snr,
+                       pfa_threshold_detect, score, snr,
                        threshold_comparison, uniform_kernel,
                        variance_preserving_kernel)
 from .teststat import TestField, compute_field
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cube", "DataError", "GaussianLineModel", "SampledLineModel", "DetectionOutput", "DetectionResult", "Dictionary",
-    "DictionaryParams", "FsfKernel", "GaussianCorrModel", "GroundTruth",
+    "DictionaryParams", "FsfKernel", "GroundTruth",
     "Metrics", "NoiseSpec", "NullModel", "NumericError", "ReferenceAtom",
     "RegionSpec", "SimConfig", "SimilarityKind", "TestField",
     "autocorrelation", "bh_reject", "build_lss", "calibrate_glr_null",
@@ -42,11 +42,11 @@ __all__ = [
     "estimate_reference", "expected_max_gain", "extract", "fdr_snr_sweep",
     "fit_null", "gaussian_fsf", "gaussian_line_model",
     "gaussian_line_reference", "generate", "glr_contrast", "glr_field",
-    "glr_pvalues", "glr_statistic", "load_cube", "load_cube_csvdir",
+    "glr_pvalues", "load_cube", "load_cube_csvdir",
     "lss_shift_grid", "normal_cdf_2d", "normal_cdf_3d", "null_cdf",
     "pfa_bound", "pfa_exact_orthogonal", "pfa_threshold_detect",
     "preprocess", "qvalues", "run_detection", "save_cube",
-    "save_cube_csvdir", "score", "similarity", "snr", "storey_pi0",
+    "save_cube_csvdir", "score", "snr", "storey_pi0",
     "threshold_comparison", "threshold_for_pfa", "uniform_kernel",
     "variance_preserving_kernel", "write_maps", "write_pgm",
 ]

@@ -117,6 +117,8 @@ def _build_fsf(spec) -> FsfKernel:
         return gaussian_fsf(size=5, sigma=_number(arg or 1.0, float, "--fsf"))
     if kind == "uniform":
         size = _number(arg or 3, int, "--fsf")
+        if size < 1:
+            raise DataError(f"--fsf uniform:<k> needs k >= 1, got {size}")
         return FsfKernel(np.ones((size, size)))
     if kind == "delta":
         return FsfKernel(np.array([[1.0]]))

@@ -65,13 +65,12 @@ def _qvalues(p: np.ndarray, order: np.ndarray, pi0: float) -> np.ndarray:
     return out
 
 
-def bh_reject(pvalues, q: float, pi0: float = 1.0) -> DetectionResult:
+def bh_reject(pvalues, q: float) -> DetectionResult:
     """Step-up procedure at level q: reject the k_hat smallest p-values,
     k_hat = max{k : p_(k) <= q*k/n} (with p_(0) = 0, so k_hat may be 0).
 
-    Tied p-values are rejected or kept together.  q-values in the result use
-    the supplied pi0 (default 1, the plain procedure), and so does the
-    result's `detected_at`.
+    Tied p-values are rejected or kept together.  This is the plain
+    procedure: q-values in the result and its `detected_at` use pi0 = 1.
     """
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -80,8 +79,8 @@ def bh_reject(pvalues, q: float, pi0: float = 1.0) -> DetectionResult:
         raise DataError("q must lie in [0, 1]")
     order = np.argsort(p, kind="stable")
     detected = _step_up(p, order, q)
-    return DetectionResult(p, _qvalues(p, order, pi0), detected,
-                           int(np.count_nonzero(detected)), q, pi0, order)
+    return DetectionResult(p, _qvalues(p, order, 1.0), detected,
+                           int(np.count_nonzero(detected)), q, 1.0, order)
 
 
 def qvalues(pvalues, pi0: float = 1.0) -> np.ndarray:

@@ -23,7 +23,6 @@ correlation path with Gauss-Legendre quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
@@ -39,6 +38,8 @@ _GL20_X, _GL20_W = roots_legendre(20)
 _GL_PATH_X, _GL_PATH_W = roots_legendre(96)
 _PATH_T = 0.5 * (_GL_PATH_X + 1.0)
 _PATH_W = 0.5 * _GL_PATH_W
+# Bisection width of every bound threshold.
+_ETA_TOL = 1e-8
 
 
 def _bvnu(dh: float, dk: float, r: float) -> float:
@@ -114,10 +115,6 @@ def normal_cdf_2d(h: float, k: float, rho: float) -> float:
     if not -1.0 <= rho <= 1.0:
         raise DataError("correlation must lie in [-1, 1]")
     return _bvnu(-float(h), -float(k), float(rho))
-
-
-def _phi(x):
-    return np.exp(-0.5 * x * x) / math.sqrt(_TWOPI)
 
 
 def _phi2(x: float, y: float, rho) -> np.ndarray:
@@ -218,32 +215,6 @@ def threshold_for_pfa_orthogonal(m: int, alpha: float) -> float:
     return float(ndtri((1.0 - alpha) ** (1.0 / m)))
 
 
-@dataclass(frozen=True)
-class GaussianCorrModel:
-    """Correlation matrix of the per-atom matched-filter scores under
-    N(0, I) noise; equals the dictionary Gram matrix."""
-
-    corr: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.corr, dtype=float)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise DataError("corr must be square")
-        if not np.allclose(c, c.T, atol=1e-12):
-            raise DataError("corr must be symmetric")
-        if np.any(np.abs(np.diag(c) - 1.0) > 1e-10):
-            raise DataError("corr must have unit diagonal")
-        if np.any(c < -1e-10):
-            raise DataError("corr entries must be non-negative")
-        if np.linalg.eigvalsh(c)[0] < -1e-10:
-            raise DataError("corr must be positive semidefinite")
-        object.__setattr__(self, "corr", c)
-
-    @classmethod
-    def from_dictionary(cls, dictionary: Dictionary) -> "GaussianCorrModel":
-        return cls(dictionary.gram())
-
-
 def _check_neighbors(neighbors: str) -> None:
     if neighbors not in ("flanking", "one_sided"):
         raise DataError(f"unknown neighbor convention {neighbors!r}")
@@ -312,8 +283,8 @@ class _BoundRecursion:
             return 1.0
         return float(min(1.0, max(0.0, 1.0 - big_m)))
 
-    def threshold(self, m: int, alpha: float, eta_tol: float) -> float:
-        """Smallest t with 1 - M_m(t) <= alpha, by bisection to eta_tol."""
+    def threshold(self, m: int, alpha: float) -> float:
+        """Smallest t with 1 - M_m(t) <= alpha, by bisection to _ETA_TOL."""
         def big_m(t):
             return 1.0 - self.pfa(float(t), m)
 
@@ -337,7 +308,7 @@ class _BoundRecursion:
             hi += 8.0
             if hi > 80.0:
                 raise NumericError("bracketing failure (high side)")
-        while hi - lo > eta_tol:
+        while hi - lo > _ETA_TOL:
             mid = 0.5 * (lo + hi)
             if big_m(mid) < target:
                 lo = mid
@@ -380,11 +351,10 @@ def pfa_bound(dictionary: Dictionary, eta: float,
 
 
 def threshold_table(reference, tau: float, ms, alpha: float,
-                    eta_tol: float = 1e-8,
                     neighbors: str = "flanking") -> list:
     """Bound thresholds for the LSS dictionaries of sizes `ms` over
     [-tau, tau]: for each m the smallest threshold whose false-alarm bound
-    is at most alpha, found by bisection to eta_tol.
+    is at most alpha, found by bisection to within 1e-8.
 
     All sizes share one validated Gamma and one recursion, so M_m(t) at a
     threshold already visited for a smaller m costs one factor per extra
@@ -404,18 +374,17 @@ def threshold_table(reference, tau: float, ms, alpha: float,
             continue
         if recursion is None:
             recursion = _BoundRecursion(reference, tau, neighbors)
-        out.append(recursion.threshold(m, alpha, eta_tol))
+        out.append(recursion.threshold(m, alpha))
     return out
 
 
 def threshold_for_pfa(dictionary: Dictionary, alpha: float,
-                      eta_tol: float = 1e-8,
                       neighbors: str = "flanking") -> float:
     """Smallest threshold whose false-alarm bound is at most alpha:
-    solves M_m(eta) = 1 - alpha by bisection to eta_tol.
+    solves M_m(eta) = 1 - alpha by bisection to within 1e-8.
 
     Monotonicity of M_m in the threshold is asserted numerically on a
     coarse grid before inverting.
     """
     return threshold_table(dictionary.reference, dictionary.tau,
-                           [dictionary.m], alpha, eta_tol, neighbors)[0]
+                           [dictionary.m], alpha, neighbors)[0]

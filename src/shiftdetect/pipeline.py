@@ -27,6 +27,10 @@ _MAGIC = b"FDC1"
 _FLAG_VARIANCE = 0x1
 
 CONTOUR_LEVELS = (0.05, 0.1, 0.2, 0.4)
+# Dictionaries built here allow slightly negative inner products between
+# far-shifted atoms: a reference estimated from noisy pixels always carries
+# a noise floor at shifts where the true line profiles no longer overlap.
+GRAM_TOL = 0.2
 
 
 @dataclass(frozen=True)
@@ -348,18 +352,13 @@ def reference_pixel_mask(cube: Cube, region: RegionSpec,
 
 @dataclass(frozen=True)
 class DictionaryParams:
-    """Dictionary construction knobs for the detection workflow.
-
-    gram_tol allows slightly negative inner products between far-shifted
-    atoms; a reference estimated from noisy pixels always carries a noise
-    floor at shifts where the true line profiles no longer overlap.
-    """
+    """Dictionary construction knobs for the detection workflow; every
+    dictionary built from them is checked against GRAM_TOL."""
 
     m: int = 15
     tau: float = 7.0
     mode: str = "integer"
     n_center_pixels: int = 5
-    gram_tol: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -386,8 +385,7 @@ def fit_region(cube: Cube, region: RegionSpec,
         reference = estimate_reference(cube, region,
                                        dict_params.n_center_pixels)
         dictionary = build_lss(reference, dict_params.m, dict_params.tau,
-                               dict_params.mode,
-                               gram_tol=dict_params.gram_tol)
+                               dict_params.mode, gram_tol=GRAM_TOL)
     if model is None:
         model = fit_null(compute_field(extract(cube, region.fit_slices()),
                                        dictionary, kind))

@@ -27,29 +27,6 @@ class SimilarityKind(str, Enum):
                             "expected 'mf' or 'sad'") from None
 
 
-def similarity(kind: SimilarityKind, y, d) -> float:
-    """Score one spectrum against one atom.
-
-    MATCHED_FILTER returns <d/||d||, y>; SPECTRAL_ANGLE returns the cosine
-    <d, y> / (||d|| ||y||), defined as 0 when ||y|| = 0 (the only value
-    consistent with oddness).
-    """
-    kind = SimilarityKind(kind)
-    y = np.asarray(y, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if y.shape != d.shape or y.ndim != 1:
-        raise DataError("y and d must be 1-d vectors of equal length")
-    dnorm = np.linalg.norm(d)
-    if dnorm <= 0:
-        raise DataError("zero atom")
-    if kind is SimilarityKind.MATCHED_FILTER:
-        return float((d / dnorm) @ y)
-    ynorm = np.linalg.norm(y)
-    if ynorm == 0.0:
-        return 0.0
-    return float((d @ y) / (dnorm * ynorm))
-
-
 def score_matrix(spectra: np.ndarray, atoms: np.ndarray,
                  kind: SimilarityKind) -> np.ndarray:
     """Scores for every (spectrum, atom) pair; spectra (n, l), atoms (m, l).

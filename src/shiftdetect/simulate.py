@@ -38,10 +38,11 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in ("gaussian", "student"):
             raise DataError(f"unknown noise family {self.family!r}")
-        if self.family == "gaussian" and self.sigma <= 0:
-            raise DataError("sigma must be positive")
-        if self.family == "student" and self.nu <= 2:
-            raise DataError("student noise needs nu > 2 for finite variance")
+        # written so that NaN fails each test
+        if self.family == "gaussian" and not 0 < self.sigma < math.inf:
+            raise DataError(f"sigma must be positive and finite: {self.sigma}")
+        if self.family == "student" and not 2 < self.nu < math.inf:
+            raise DataError(f"student noise needs finite nu > 2: {self.nu}")
 
     @property
     def marginal_variance(self) -> float:
@@ -67,6 +68,8 @@ def variance_preserving_kernel(weights) -> np.ndarray:
 
 def uniform_kernel(size: int = 3) -> np.ndarray:
     """Variance-preserving uniform size x size kernel (entries 1/size)."""
+    if size < 1:
+        raise DataError(f"uniform kernel size must be >= 1, got {size}")
     return variance_preserving_kernel(np.ones((size, size)))
 
 
@@ -216,25 +219,12 @@ def generate(config: SimConfig) -> tuple:
 # baseline detectors
 
 
-def glr_statistic(y, dictionary: Dictionary, sigma_diag) -> float:
-    """1-sparse non-negative GLR score: the largest standardized whitened
-    matched-filter response max_j d_j' S^-1 y / sqrt(d_j' S^-1 d_j) with
-    diagonal S.  When every coefficient estimate is non-positive this is
-    the least-negative standardized score."""
-    y = np.asarray(y, dtype=float)
-    sigma_diag = np.asarray(sigma_diag, dtype=float)
-    if y.shape != (dictionary.length,) or sigma_diag.shape != y.shape:
-        raise DataError("y and sigma_diag must have the atom length")
-    if np.any(sigma_diag <= 0):
-        raise DataError("sigma_diag must be strictly positive")
-    num = dictionary.atoms @ (y / sigma_diag)
-    den = np.sqrt(np.sum(dictionary.atoms ** 2 / sigma_diag, axis=1))
-    return float(np.max(num / den))
-
-
 def glr_field(cube, dictionary: Dictionary, sigma_diag) -> np.ndarray:
-    """Vectorized `glr_statistic` over all pixels; returns a flat array in
-    row-major pixel order."""
+    """1-sparse non-negative GLR score of every pixel: the largest
+    standardized whitened matched-filter response
+    max_j d_j' S^-1 y / sqrt(d_j' S^-1 d_j) with diagonal S (the
+    least-negative one when every coefficient estimate is non-positive).
+    Returns a flat array in row-major pixel order."""
     data = getattr(cube, "data", cube)
     data = np.asarray(data, dtype=float)
     spectra = data.reshape(-1, dictionary.length)
@@ -391,6 +381,8 @@ def fdr_snr_sweep(dictionary: Dictionary, snr_list, q_list, runs: int,
     serially or on a worker pool.  Returns (records, aggregate): per-run
     dicts and mean FDR / power keyed by (snr, q).
     """
+    if runs < 1:
+        raise DataError(f"runs must be >= 1, got {runs}")
     if kernel is None:
         kernel = uniform_kernel(3)
     if signal_atom is None:
@@ -437,6 +429,8 @@ def glr_contrast(dictionary: Dictionary, noise: NoiseSpec, q_list,
     test-small workflow).  Returns (records, aggregate) with mean FDR and
     power per (method, q).
     """
+    if runs < 1:
+        raise DataError(f"runs must be >= 1, got {runs}")
     null_sample = calibrate_glr_null(dictionary, calibration_runs,
                                      seed=_derived_seed(seed, 0xca1))
     signal_atom = dictionary.m // 2

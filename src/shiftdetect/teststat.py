@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,32 +49,6 @@ class TestField:
             out = np.full(self.shape, fill, dtype=float)
         out[self.rows, self.cols] = values
         return out
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["shape", self.shape[0], self.shape[1]])
-            writer.writerow(["row", "col", "tmax", "tmin", "argmax"])
-            for r, c, hi, lo, a in zip(self.rows, self.cols, self.tmax,
-                                       self.tmin, self.argmax_atom):
-                writer.writerow([r, c, "%.17g" % hi, "%.17g" % lo, a])
-
-    @classmethod
-    def load_csv(cls, path) -> "TestField":
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-        if len(rows) < 2 or rows[0][0] != "shape":
-            raise DataError(f"{path}: not a TestField CSV")
-        shape = (int(rows[0][1]), int(rows[0][2]))
-        body = rows[2:]
-        return cls(
-            tmax=np.array([float(r[2]) for r in body]),
-            tmin=np.array([float(r[3]) for r in body]),
-            argmax_atom=np.array([int(r[4]) for r in body]),
-            rows=np.array([int(r[0]) for r in body]),
-            cols=np.array([int(r[1]) for r in body]),
-            shape=shape,
-        )
 
 
 def compute_field(cube, dictionary: Dictionary,

@@ -139,6 +139,15 @@ class TestMalformedNumbers:
                      "l=abc\n", id="simulate-l-abc"),
         pytest.param(["simulate", "--config", "{conf}", "--out", "{out}"],
                      "snr_list=-20,x\n", id="simulate-snr-list-x"),
+        pytest.param(["preprocess", "--cube", "{cube}", "--out", "{out}",
+                      "--fsf", "uniform:-1"], None,
+                     id="preprocess-fsf-uniform-negative"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}"],
+                     "kernel=uniform-1\n", id="simulate-kernel-uniform-1"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}",
+                      "--runs", "0"], "", id="simulate-runs-0"),
+        pytest.param(["glr-compare", "--runs", "0", "--out", "{out}"], None,
+                     id="glr-compare-runs-0"),
     ])
     def test_exits_2(self, workdir, tmp_path, argv, config):
         conf = tmp_path / "bad.conf"

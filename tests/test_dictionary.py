@@ -118,6 +118,18 @@ class TestBuildLss:
         d = build_lss(ref, 3, 50.0, "integer")
         assert d.coherence == 0.0
 
+    def test_gram_is_a_correlation_matrix(self, line_dictionary):
+        # the Gram matrix is the correlation of the per-atom matched-filter
+        # scores under N(0, I) noise, which the false-alarm bound and its
+        # Monte-Carlo checks sample from
+        gram = line_dictionary.gram()
+        m = line_dictionary.m
+        assert gram.shape == (m, m)
+        assert np.allclose(gram, gram.T, atol=1e-12)
+        assert np.all(np.abs(np.diag(gram) - 1.0) <= 1e-10)
+        assert np.all(gram >= -1e-10)
+        assert np.linalg.eigvalsh(gram)[0] >= -1e-10
+
     def test_relaxed_gram_check_fires(self):
         values = np.zeros(40)
         values[10] = 1.0

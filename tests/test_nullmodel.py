@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftdetect.errors import DataError
 from shiftdetect.nullmodel import (NullModel, empirical_pvalues, fit_null,
@@ -150,6 +153,32 @@ class TestEmpiricalPvalues:
         model = fit_null(fit_field)
         p = empirical_pvalues(model, test_field)
         assert p.size == 100
+
+    @settings(max_examples=80, deadline=None)
+    @given(n0=st.integers(1, 100_000), levels=st.integers(1, 400),
+           seed=st.integers(0, 2 ** 32 - 1),
+           picks=st.lists(st.tuples(st.sampled_from(["on", "between",
+                                                     "below", "above"]),
+                                    st.floats(0.0, 1.0)),
+                          min_size=1, max_size=40))
+    def test_largest_double_not_above_exact_ratio(self, n0, levels, seed,
+                                                  picks):
+        # quantised pooled values, so ties are the rule; statistics sit on
+        # pooled values, between neighbouring levels and beyond both ends
+        rng = np.random.default_rng(seed)
+        pooled = np.sort(rng.integers(0, levels, 2 * n0).astype(float))
+        model = NullModel(mu0_hat=float(pooled[n0 - 1]), pi0_hat=1.0,
+                          n0=n0, n_fit=2 * n0, pooled=pooled)
+        stats = []
+        for kind, u in picks:
+            v = pooled[min(int(u * pooled.size), pooled.size - 1)]
+            stats.append({"on": v, "between": v + 0.5, "below": -1.0 - u,
+                          "above": levels + u}[kind])
+        p = empirical_pvalues(model, np.array(stats))
+        for s, got in zip(stats, p):
+            exact = Fraction(int(np.count_nonzero(pooled > s)), 2 * n0)
+            assert Fraction(float(got)) <= exact
+            assert Fraction(float(np.nextafter(got, np.inf))) > exact
 
 
 class TestConsistencyAtScale:

@@ -9,8 +9,8 @@ from shiftdetect.cli import main
 from shiftdetect.dictionary import (autocorrelation, build_lss,
                                     gaussian_line_reference)
 from shiftdetect.errors import DataError, NumericError
-from shiftdetect.pfabound import (GaussianCorrModel, _BoundRecursion,
-                                  normal_cdf_2d, normal_cdf_3d, pfa_bound,
+from shiftdetect.pfabound import (_BoundRecursion, normal_cdf_2d,
+                                  normal_cdf_3d, pfa_bound,
                                   pfa_exact_orthogonal, threshold_for_pfa,
                                   threshold_for_pfa_orthogonal,
                                   threshold_table)
@@ -149,19 +149,6 @@ class TestPfaExactOrthogonal:
         est = mc_max_alpha(np.eye(m), eta, n, rng)
         se = math.sqrt(est * (1 - est) / n)
         assert abs(pfa_exact_orthogonal(m, eta) - est) < 4 * se
-
-
-class TestGaussianCorrModel:
-    def test_from_dictionary(self, line_dictionary):
-        model = GaussianCorrModel.from_dictionary(line_dictionary)
-        m = line_dictionary.m
-        assert model.corr.shape == (m, m)
-        assert np.allclose(np.diag(model.corr), 1.0, atol=1e-12)
-
-    def test_rejects_negative_entries(self):
-        corr = np.array([[1.0, -0.3], [-0.3, 1.0]])
-        with pytest.raises(DataError):
-            GaussianCorrModel(corr)
 
 
 class TestPfaBound:

@@ -11,11 +11,12 @@ from shiftdetect.similarity import SimilarityKind
 from shiftdetect.simulate import (GroundTruth, Metrics, NoiseSpec, SimConfig,
                                   calibrate_glr_null, disk_mask,
                                   fdr_snr_sweep, generate, glr_field,
-                                  glr_pvalues, glr_statistic,
-                                  pfa_threshold_detect, score, snr,
-                                  signal_energy_for_snr, uniform_kernel,
+                                  glr_pvalues, pfa_threshold_detect, score,
+                                  snr, signal_energy_for_snr, uniform_kernel,
                                   variance_preserving_kernel)
 from shiftdetect.teststat import compute_field
+
+from oracles import glr_statistic
 
 SAD = SimilarityKind.SPECTRAL_ANGLE
 MF = SimilarityKind.MATCHED_FILTER
@@ -40,6 +41,17 @@ class TestNoiseSpec:
             NoiseSpec("student", nu=2.0)
         with pytest.raises(DataError):
             NoiseSpec("poisson")
+
+    @pytest.mark.parametrize("family, field, value", [
+        ("gaussian", "sigma", math.nan),
+        ("gaussian", "sigma", math.inf),
+        ("student", "nu", math.nan),
+        ("student", "nu", math.inf),
+    ])
+    def test_non_finite_parameter_rejected(self, family, field, value):
+        # NaN passes a bare `<=` bound check; the message names the field
+        with pytest.raises(DataError, match=field):
+            NoiseSpec(family, **{field: value})
 
     def test_symmetry_sanity(self, rng):
         # generated noise is symmetric: sign balance and mirrored quantiles
@@ -156,6 +168,14 @@ class TestGlr:
         field = compute_field(cube, line_dictionary, MF)
         stats_flat = glr_field(cube, line_dictionary, np.ones(30))
         assert np.allclose(stats_flat, field.tmax, atol=1e-12)
+
+    def test_field_matches_scalar_oracle(self, line_dictionary, rng):
+        cube = rng.standard_normal((5, 4, 30))
+        sigma_diag = rng.uniform(0.5, 2.0, 30)
+        stats_flat = glr_field(cube, line_dictionary, sigma_diag)
+        for y, got in zip(cube.reshape(-1, 30), stats_flat):
+            assert got == pytest.approx(
+                glr_statistic(y, line_dictionary, sigma_diag), abs=1e-12)
 
     def test_planted_atom_amplitude(self, line_dictionary):
         y = 3.0 * line_dictionary.atoms[4]

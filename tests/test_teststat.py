@@ -3,8 +3,10 @@ import pytest
 
 from shiftdetect.dictionary import build_lss
 from shiftdetect.errors import DataError
-from shiftdetect.similarity import SimilarityKind, score_matrix, similarity
+from shiftdetect.similarity import SimilarityKind, score_matrix
 from shiftdetect.teststat import TestField, compute_field
+
+from oracles import similarity
 
 MF = SimilarityKind.MATCHED_FILTER
 SAD = SimilarityKind.SPECTRAL_ANGLE
@@ -133,16 +135,3 @@ class TestTestFieldContainer:
         assert grid.shape == (3, 4)
         assert grid[2, 1] == field.tmax[(field.rows == 2)
                                         & (field.cols == 1)][0]
-
-    def test_csv_round_trip(self, line_dictionary, rng, tmp_path):
-        cube = rng.standard_normal((5, 4, 30))
-        cube[0, 0, :] = np.nan
-        field = compute_field(cube, line_dictionary, SAD)
-        path = tmp_path / "field.csv"
-        field.save_csv(path)
-        back = TestField.load_csv(path)
-        assert np.array_equal(back.tmax, field.tmax)
-        assert np.array_equal(back.tmin, field.tmin)
-        assert np.array_equal(back.argmax_atom, field.argmax_atom)
-        assert np.array_equal(back.rows, field.rows)
-        assert back.shape == field.shape
