@@ -25,8 +25,7 @@ from .similarity import SimilarityKind
 from .simulate import (GroundTruth, Metrics, NoiseSpec, SimConfig,
                        calibrate_glr_null, disk_mask, fdr_snr_sweep,
                        generate, glr_contrast, glr_field, glr_pvalues,
-                       pfa_threshold_detect, score, snr,
-                       threshold_comparison, uniform_kernel,
+                       score, snr, uniform_kernel,
                        variance_preserving_kernel)
 from .teststat import TestField, compute_field
 
@@ -44,9 +43,8 @@ __all__ = [
     "gaussian_line_reference", "generate", "glr_contrast", "glr_field",
     "glr_pvalues", "load_cube", "load_cube_csvdir",
     "lss_shift_grid", "normal_cdf_2d", "normal_cdf_3d", "null_cdf",
-    "pfa_bound", "pfa_exact_orthogonal", "pfa_threshold_detect",
-    "preprocess", "qvalues", "run_detection", "save_cube",
-    "save_cube_csvdir", "score", "snr", "storey_pi0",
-    "threshold_comparison", "threshold_for_pfa", "uniform_kernel",
+    "pfa_bound", "pfa_exact_orthogonal", "preprocess", "qvalues",
+    "run_detection", "save_cube", "save_cube_csvdir", "score", "snr",
+    "storey_pi0", "threshold_for_pfa", "uniform_kernel",
     "variance_preserving_kernel", "write_maps", "write_pgm",
 ]

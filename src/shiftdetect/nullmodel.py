@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -117,10 +116,19 @@ def empirical_pvalues(model: NullModel, field) -> np.ndarray:
 
 
 def _ratio_round_down(numerators: np.ndarray, denominator: int) -> np.ndarray:
-    """Elementwise integer ratio as float64, rounded toward zero."""
-    uniq, inverse = np.unique(numerators, return_inverse=True)
-    vals = uniq.astype(float) / denominator
-    for i, a in enumerate(uniq):
-        if Fraction(float(vals[i])) > Fraction(int(a), denominator):
-            vals[i] = np.nextafter(vals[i], 0.0)
-    return vals[inverse]
+    """Elementwise integer ratio c/d as float64, rounded toward zero.
+
+    v = fl(c/d) is stepped down one ulp where v*d > c.  That test is exact
+    for d < 2**26: with head = v cut to its top 26 significant bits, both
+    head*d and (v - head)*d fit in 53 bits, and c - head*d is exact by
+    Sterbenz's lemma.
+    """
+    if denominator >= 2 ** 26:
+        raise DataError(f"exact p-values need 2*n0 < 2**26, got "
+                        f"{denominator}")
+    c = np.asarray(numerators, dtype=float)
+    v = c / denominator
+    # clear the low 27 of the 52 stored mantissa bits
+    head = (v.view(np.uint64) & np.uint64(2 ** 64 - 2 ** 27)).view(float)
+    above = (v - head) * denominator > c - head * denominator
+    return np.where(above, np.nextafter(v, 0.0), v)

@@ -166,21 +166,16 @@ def load_cube(path) -> Cube:
         if len(header) != 20:
             raise DataError(f"{path}: truncated header")
         n_y, n_x, l, flags, band_origin = struct.unpack("<IIIIi", header)
-        count = n_y * n_x * l
-        raw = fh.read(8 * count)
-        if len(raw) != 8 * count:
-            raise DataError(f"{path}: truncated data block")
-        data = np.frombuffer(raw, dtype="<f8").reshape(n_y, n_x, l).copy()
-        variance = None
-        if flags & _FLAG_VARIANCE:
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise DataError(f"{path}: truncated variance block")
-            variance = np.frombuffer(raw, dtype="<f8") \
-                .reshape(n_y, n_x, l).copy()
+        blocks = {}
+        names = ("data", "variance") if flags & _FLAG_VARIANCE else ("data",)
+        for name in names:
+            block = np.fromfile(fh, dtype="<f8", count=n_y * n_x * l)
+            if block.size != n_y * n_x * l:
+                raise DataError(f"{path}: truncated {name} block")
+            blocks[name] = block.reshape(n_y, n_x, l)
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes")
-    cube = Cube(data=data, variance=variance, band_origin=band_origin)
+    cube = Cube(band_origin=band_origin, **blocks)
     _check_nan_policy(cube)
     return cube
 
@@ -380,7 +375,11 @@ def fit_region(cube: Cube, region: RegionSpec,
 
     The dictionary comes from the reference spectrum estimated on the test
     window; the null is fitted on the statistics of the extended fit window.
+    A supplied null needs the dictionary it was fitted under.
     """
+    if model is not None and dictionary is None:
+        raise DataError("a saved null model needs its dictionary: pass the "
+                        "one saved by null-fit --out-dict")
     if dictionary is None:
         reference = estimate_reference(cube, region,
                                        dict_params.n_center_pixels)

@@ -16,11 +16,11 @@ from scipy import ndimage
 
 from .dictionary import Dictionary
 from .errors import DataError
-from .fdr import DetectionResult, bh_reject, detect
+from .fdr import bh_reject, detect
 from .nullmodel import fit_null
 from .pipeline import Cube
 from .similarity import SimilarityKind
-from .teststat import TestField, compute_field
+from .teststat import compute_field
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +282,6 @@ def _residual_band_variances(data: np.ndarray, dictionary: Dictionary,
     return np.var(resid, axis=0, ddof=1)
 
 
-def pfa_threshold_detect(field: TestField, result: DetectionResult,
-                         eta_pfa: float) -> np.ndarray:
-    """Per-pixel control only: flag p < eta, reading the p-values of a
-    decision on `field`, with no multiplicity correction.  Returns a
-    boolean map on the field's grid."""
-    if not (0.0 < eta_pfa <= 1.0):
-        raise DataError("eta_pfa must lie in (0, 1]")
-    if eta_pfa == 1.0:
-        return field.to_map(np.ones(field.n, dtype=bool))
-    return field.to_map(result.pvalues < eta_pfa)
-
-
 # ---------------------------------------------------------------------------
 # scoring
 
@@ -475,69 +463,3 @@ def disk_mask(shape, center, n_pixels: int) -> np.ndarray:
     mask = np.zeros(shape[0] * shape[1], dtype=bool)
     mask[order[:n_pixels]] = True
     return mask.reshape(shape)
-
-
-def threshold_comparison(dictionary: Dictionary, regions: int = 5,
-                         seed: int = 0, shape=(50, 50),
-                         fit_shape=(200, 200), source_pixels: int = 185,
-                         amplitude: float = 4.5,
-                         noise: NoiseSpec = NoiseSpec("student", nu=5.0),
-                         pfa_levels=(0.05, 0.001), fdr_level: float = 0.2,
-                         kind: SimilarityKind = SimilarityKind.SPECTRAL_ANGLE):
-    """Per-pixel PFA thresholds versus the adaptive FDR procedure on fields
-    with and without a compact synthetic source, averaged over regions.
-
-    Each region draws an extended noise cube for the null fit, a noise-only
-    test cube, and the same test cube with a disk-shaped source of constant
-    amplitude added on the central dictionary atom.  Returns a dict of
-    averaged counts per detector and condition.
-    """
-    atom = dictionary.atoms[dictionary.m // 2]
-    rows = []
-    for region in range(regions):
-        fit_cfg = SimConfig(n_y=fit_shape[0], n_x=fit_shape[1],
-                            l=dictionary.length, noise=noise,
-                            dictionary=dictionary, pi0=1.0,
-                            seed=_derived_seed(seed, region, 0))
-        test_cfg = replace(fit_cfg, n_y=shape[0], n_x=shape[1],
-                           seed=_derived_seed(seed, region, 1))
-        fit_cube, _ = generate(fit_cfg)
-        noise_cube, _ = generate(test_cfg)
-        model = fit_null(compute_field(fit_cube, dictionary, kind))
-
-        src_mask = disk_mask(shape, (shape[0] // 2, shape[1] // 2),
-                             source_pixels)
-        source = np.where(src_mask[:, :, None], amplitude * atom, 0.0)
-        source_cube = Cube(data=noise_cube.data + source)
-        truth_noise = GroundTruth(h1_mask=np.zeros(shape, dtype=bool),
-                                  amplitudes=np.zeros(shape),
-                                  true_shifts=np.full(shape, np.nan))
-        truth_src = GroundTruth(h1_mask=src_mask,
-                                amplitudes=np.where(src_mask, amplitude, 0.0),
-                                true_shifts=np.where(src_mask, 0.0, np.nan))
-
-        for label, cube, truth in (("noise", noise_cube, truth_noise),
-                                   ("source", source_cube, truth_src)):
-            fld = compute_field(cube, dictionary, kind)
-            res = detect(model, fld, fdr_level)
-            for eta in pfa_levels:
-                m = score(pfa_threshold_detect(fld, res, eta), truth)
-                rows.append({"region": region, "cond": label,
-                             "detector": f"pfa@{eta:g}", "metrics": m})
-            m = score(fld.to_map(res.detected), truth)
-            rows.append({"region": region, "cond": label,
-                         "detector": f"fdr@{fdr_level:g}", "metrics": m})
-    summary = {}
-    for cond in ("noise", "source"):
-        for det in [f"pfa@{e:g}" for e in pfa_levels] + [f"fdr@{fdr_level:g}"]:
-            sel = [r["metrics"] for r in rows
-                   if r["cond"] == cond and r["detector"] == det]
-            summary[(cond, det)] = {
-                "false_detections": float(np.mean([m.false_detections
-                                                   for m in sel])),
-                "true_detections": float(np.mean([m.true_detections
-                                                  for m in sel])),
-                "fdp": float(np.mean([m.fdp for m in sel])),
-                "power": float(np.mean([m.power for m in sel])),
-            }
-    return rows, summary

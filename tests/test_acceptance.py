@@ -8,6 +8,8 @@ reference (see the decisions ledger for the analysis).
 """
 
 import math
+from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,15 +18,15 @@ from scipy import stats
 from scipy.special import ndtr, ndtri
 
 from shiftdetect.dictionary import (build_lss, gaussian_line_reference)
-from shiftdetect.fdr import bh_reject, storey_pi0
+from shiftdetect.fdr import bh_reject, detect, storey_pi0
 from shiftdetect.nullmodel import empirical_pvalues, fit_null
 from shiftdetect.pfabound import (normal_cdf_2d, normal_cdf_3d, pfa_bound,
                                   pfa_exact_orthogonal, threshold_for_pfa)
 from shiftdetect.pipeline import Cube, load_cube, save_cube
 from shiftdetect.similarity import SimilarityKind
-from shiftdetect.simulate import (NoiseSpec, SimConfig, fdr_snr_sweep,
-                                  generate, glr_contrast,
-                                  threshold_comparison, _derived_seed)
+from shiftdetect.simulate import (GroundTruth, NoiseSpec, SimConfig,
+                                  disk_mask, fdr_snr_sweep, generate,
+                                  glr_contrast, score, _derived_seed)
 from shiftdetect.teststat import compute_field
 from tests.test_fdr import bh_bruteforce
 from tests.test_nullmodel import make_field, random_field
@@ -81,7 +83,9 @@ def test_ac2_fdr_control_across_snr(dictionary):
     signal strengths over 500 runs, strictly below q at the weakest."""
     q_list = (0.02, 0.05, 0.1, 0.2)
     snr_list = (-20.0, -16.0, -12.0, -8.0)
-    _, agg = fdr_snr_sweep(dictionary, snr_list, q_list, runs=500, seed=77)
+    # threads=2 gives the serial records bit for bit (TestFdrSnrSweep)
+    _, agg = fdr_snr_sweep(dictionary, snr_list, q_list, runs=500, seed=77,
+                           threads=2)
     lines = []
     for snr_db in snr_list:
         for q in q_list:
@@ -97,12 +101,58 @@ def test_ac2_fdr_control_across_snr(dictionary):
             f"{agg[(snr_list[-1], 0.2)]['power']:.2f}")
 
 
+def threshold_comparison(dictionary, regions, seed):
+    """Per-pixel PFA thresholds at 5% and 0.1% (flag p < eta, no
+    multiplicity correction) versus the adaptive FDR procedure at 0.2, on
+    Student-t(5) fields with and without a compact source.
+
+    Each region draws a 200x200 noise cube for the null fit, a 50x50
+    noise-only test cube, and the same test cube plus a 185-pixel disk of
+    amplitude 4.5 on the central atom.  Returns the mean false and true
+    detections, FDP and power per (condition, detector) over the regions.
+    """
+    shape = (50, 50)
+    src_mask = disk_mask(shape, (25, 25), 185)
+    source = np.where(src_mask[:, :, None],
+                      4.5 * dictionary.atoms[dictionary.m // 2], 0.0)
+    truths = {}
+    for cond, mask in (("noise", np.zeros(shape, dtype=bool)),
+                       ("source", src_mask)):
+        truths[cond] = GroundTruth(h1_mask=mask,
+                                   amplitudes=np.where(mask, 4.5, 0.0),
+                                   true_shifts=np.where(mask, 0.0, np.nan))
+    metrics = defaultdict(list)
+    for region in range(regions):
+        fit_cfg = SimConfig(n_y=200, n_x=200, l=dictionary.length,
+                            noise=NoiseSpec("student", nu=5.0),
+                            dictionary=dictionary, pi0=1.0,
+                            seed=_derived_seed(seed, region, 0))
+        test_cfg = replace(fit_cfg, n_y=shape[0], n_x=shape[1],
+                           seed=_derived_seed(seed, region, 1))
+        fit_cube, _ = generate(fit_cfg)
+        noise_cube, _ = generate(test_cfg)
+        model = fit_null(compute_field(fit_cube, dictionary, SAD))
+        for cond, cube in (("noise", noise_cube),
+                           ("source", Cube(data=noise_cube.data + source))):
+            fld = compute_field(cube, dictionary, SAD)
+            res = detect(model, fld, 0.2)
+            for det, hits in (("pfa@0.05", res.pvalues < 0.05),
+                              ("pfa@0.001", res.pvalues < 0.001),
+                              ("fdr@0.2", res.detected)):
+                metrics[cond, det].append(score(fld.to_map(hits),
+                                                truths[cond]))
+    return {key: {name: float(np.mean([getattr(m, name) for m in ms]))
+                  for name in ("false_detections", "true_detections",
+                               "fdp", "power")}
+            for key, ms in metrics.items()}
+
+
 def test_ac3_threshold_table(dictionary):
     """Per-pixel 5% thresholding on noise-only fields produces false
     detections in the binomial 99% band around 125; the adaptive procedure
     at level 0.2 keeps the false discovery proportion in [0.05, 0.25] with
     power above 0.6 while the 5% baseline exceeds 0.8 power."""
-    _, summary = threshold_comparison(dictionary, regions=5, seed=55)
+    summary = threshold_comparison(dictionary, regions=5, seed=55)
     fd_noise = summary[("noise", "pfa@0.05")]["false_detections"]
     lo = stats.binom.ppf(0.005, 5 * 2500, 0.05) / 5
     hi = stats.binom.ppf(0.995, 5 * 2500, 0.05) / 5

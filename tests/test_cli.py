@@ -67,6 +67,14 @@ class TestPreprocessDetectFlow:
         assert detected.shape == (50, 50)
         assert (workdir / "maps" / "map_qvalue.pgm").exists()
 
+    def test_model_without_its_dictionary_exits_2(self, workdir):
+        # a saved null is only valid under the dictionary it was fitted on
+        window = ("--cube", workdir / "raw.fdc", "--center", "120,120,17")
+        assert run("null-fit", *window,
+                   "--out-model", workdir / "lone_model.csv") == 0
+        assert run("detect", *window, "--model", workdir / "lone_model.csv",
+                   "--out", workdir / "maps_nodict") == 2
+
     def test_detect_estimates_when_no_model_given(self, workdir):
         assert run("detect", "--cube", workdir / "prep.fdc",
                    "--center", "120,120,17", "--q", "0.2",

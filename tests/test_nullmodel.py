@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftdetect.errors import DataError
-from shiftdetect.nullmodel import (NullModel, empirical_pvalues, fit_null,
-                                   null_cdf)
+from shiftdetect.nullmodel import (NullModel, _ratio_round_down,
+                                   empirical_pvalues, fit_null, null_cdf)
 from shiftdetect.similarity import SimilarityKind
 from shiftdetect.teststat import TestField, compute_field
 
@@ -179,6 +179,22 @@ class TestEmpiricalPvalues:
             exact = Fraction(int(np.count_nonzero(pooled > s)), 2 * n0)
             assert Fraction(float(got)) <= exact
             assert Fraction(float(np.nextafter(got, np.inf))) > exact
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2 ** 20, 2 ** 26 - 1), data=st.data())
+    def test_round_down_exact_at_large_denominators(self, d, data):
+        # pooled arrays of size 2*n0 this large are too costly to build,
+        # so the ratio is checked directly
+        cs = data.draw(st.lists(st.integers(0, d), max_size=200))
+        cs = np.array([0, 1, d - 1, d] + cs)
+        for c, got in zip(cs, _ratio_round_down(cs, d)):
+            exact = Fraction(int(c), d)
+            assert Fraction(float(got)) <= exact
+            assert Fraction(float(np.nextafter(got, np.inf))) > exact
+
+    def test_round_down_rejects_denominator_at_limit(self):
+        with pytest.raises(DataError, match=r"2\*\*26"):
+            _ratio_round_down(np.array([0, 1]), 2 ** 26)
 
 
 class TestConsistencyAtScale:

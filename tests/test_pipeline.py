@@ -75,13 +75,17 @@ class TestBinaryIO:
         with pytest.raises(DataError, match="magic"):
             load_cube(path)
 
-    def test_truncated_file_fails_closed(self, rng, tmp_path):
-        cube = random_cube(rng)
+    @pytest.mark.parametrize("block", ["header", "data", "variance"])
+    def test_truncated_file_fails_closed(self, rng, tmp_path, block):
+        cube = random_cube(rng, variance=True)
         path = tmp_path / "cube.fdc"
         save_cube(cube, path)
         raw = path.read_bytes()
-        path.write_bytes(raw[:len(raw) - 9])
-        with pytest.raises(DataError, match="truncated"):
+        # cut 9 bytes before the end of the named block
+        end = {"header": 24, "data": 24 + 8 * cube.data.size,
+               "variance": len(raw)}[block]
+        path.write_bytes(raw[:end - 9])
+        with pytest.raises(DataError, match=f"truncated {block}"):
             load_cube(path)
 
     def test_trailing_bytes_rejected(self, rng, tmp_path):
