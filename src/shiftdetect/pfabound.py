@@ -8,16 +8,17 @@ Pr(z1 <= t | z2 <= t, z3 <= t) evaluated from trivariate and bivariate
 normal CDFs, using the two nearest-neighbor correlations of the denser
 grid.  The bound is sharp for uncorrelated atoms.
 
-A table of thresholds over dictionary sizes does each piece of work
-once: Gamma, the reference's autocorrelation in the shift, is checked
-once per (reference, tau), each grid size's correlations are evaluated
-once, and the factors of the recursion are shared across sizes, since
-M_m(t) is a prefix of M_{m+1}(t).
+A table of thresholds over dictionary sizes checks Gamma, the reference's
+autocorrelation in the shift, once per (reference, tau) and each grid
+size's correlations once, and bisects every size in lockstep: one
+recursion evaluation per round serves all unfinished sizes.
 
 The bivariate CDF follows the classic Drezner / Genz single-integral
 scheme (including the transformed high-correlation branch); the trivariate
 CDF integrates Plackett's correlation-derivative identity along a linear
-correlation path with Gauss-Legendre quadrature.
+correlation path with Gauss-Legendre quadrature.  Both kernels work on
+arrays, element by element; `normal_cdf_2d` and `normal_cdf_3d` are their
+validated scalar forms.
 """
 
 from __future__ import annotations
@@ -40,58 +41,68 @@ _PATH_T = 0.5 * (_GL_PATH_X + 1.0)
 _PATH_W = 0.5 * _GL_PATH_W
 # Bisection width of every bound threshold.
 _ETA_TOL = 1e-8
+# Thresholds on which M_m is checked to be monotone before it is inverted;
+# the ends start each bisection bracket.
+_MONOTONE_GRID = np.linspace(-6.0, 8.0, 29)
+# (threshold, grid size) rows per kernel call of a recursion evaluation:
+# a bisection round of the 2..20 table (171 rows) is one call, and the
+# kernels' temporaries stay under 1 MB.
+_KERNEL_ROWS = 180
 
 
-def _bvnu(dh: float, dk: float, r: float) -> float:
-    """Upper bivariate normal probability P(X > dh, Y > dk) for standard
-    margins with correlation r.
+def _bvnu(dh, dk, r) -> np.ndarray:
+    """Upper bivariate normal probabilities P(X > dh, Y > dk) for standard
+    margins with correlation r, elementwise over broadcast arrays.
 
     Port of the Drezner-Wesolowsky / Genz algorithm: a Gauss-Legendre
     evaluation of the arcsine-parametrized integral for |r| < 0.925 and the
-    transformed complementary expansion above that.
+    transformed complementary expansion above that.  Each element takes
+    the branch its own (dh, dk, r) selects, so a bulk call returns the
+    same bits as one call per element.
     """
-    if np.isposinf(dh) or np.isposinf(dk):
-        return 0.0
-    if np.isneginf(dh):
-        return 1.0 if np.isneginf(dk) else float(ndtr(-dk))
-    if np.isneginf(dk):
-        return float(ndtr(-dh))
-    if r == 0.0:
-        return float(ndtr(-dh) * ndtr(-dk))
-    if r >= 1.0:
-        return float(ndtr(-max(dh, dk)))
-    if r <= -1.0:
-        return float(max(0.0, ndtr(-dh) - ndtr(dk)))
+    dh, dk, r = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                      for v in (dh, dk, r)))
+    shape = dh.shape
+    dh, dk, r = dh.ravel(), dk.ravel(), r.ravel()
+    # an infinite limit makes the probability the product of the margins
+    # (ndtr(-inf) = 0, ndtr(inf) = 1), exactly as r = 0 does
+    indep = np.isinf(dh) | np.isinf(dk) | (r == 0.0)
+    out = ndtr(-dh) * ndtr(-dk)
+    one = ~indep & (r >= 1.0)
+    out[one] = ndtr(-np.maximum(dh[one], dk[one]))
+    anti = ~indep & (r <= -1.0)
+    out[anti] = np.maximum(0.0, ndtr(-dh[anti]) - ndtr(dk[anti]))
 
-    h, k = dh, dk
+    low = ~(indep | one | anti) & (np.abs(r) < 0.925)
+    h, k, rl = dh[low, None], dk[low, None], r[low, None]
     hk = h * k
-    bvn = 0.0
-    if abs(r) < 0.925:
-        hs = 0.5 * (h * h + k * k)
-        asr = math.asin(r)
-        sn = np.sin(0.5 * asr * (1.0 + _GL20_X))
-        bvn = float(np.sum(_GL20_W * np.exp((sn * hk - hs) / (1.0 - sn * sn))))
-        return max(0.0, min(1.0, bvn * asr / (2.0 * _TWOPI)
-                            + float(ndtr(-h) * ndtr(-k))))
+    hs = 0.5 * (h * h + k * k)
+    asr = np.arcsin(rl)
+    sn = np.sin(0.5 * asr * (1.0 + _GL20_X))
+    bvn = np.sum(_GL20_W * np.exp((sn * hk - hs) / (1.0 - sn * sn)), axis=1)
+    out[low] = np.clip(bvn * asr[:, 0] / (2.0 * _TWOPI)
+                       + ndtr(-dh[low]) * ndtr(-dk[low]), 0.0, 1.0)
 
-    if r < 0.0:
-        k = -k
-        hk = -hk
-    a_sq = (1.0 - r) * (1.0 + r)
-    a = math.sqrt(a_sq)
+    high = ~(indep | one | anti | low)
+    h, rh = dh[high, None], r[high, None]
+    k = np.where(rh < 0.0, -dk[high, None], dk[high, None])
+    hk = h * k
+    a_sq = (1.0 - rh) * (1.0 + rh)
+    a = np.sqrt(a_sq)
     bs = (h - k) ** 2
     c = (4.0 - hk) / 8.0
     d = (12.0 - hk) / 16.0
     asr = -0.5 * (bs / a_sq + hk)
-    if asr > -100.0:
-        bvn = a * math.exp(asr) * (1.0 - c * (bs - a_sq)
-                                   * (1.0 - d * bs / 5.0) / 3.0
-                                   + c * d * a_sq * a_sq / 5.0)
-    if -hk < 100.0:
-        b = math.sqrt(bs)
-        sp = math.sqrt(_TWOPI) * float(ndtr(-b / a))
-        bvn -= math.exp(-0.5 * hk) * sp * b * (1.0 - c * bs
-                                               * (1.0 - d * bs / 5.0) / 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bvn = np.where(asr > -100.0,
+                       a * np.exp(asr) * (1.0 - c * (bs - a_sq)
+                                          * (1.0 - d * bs / 5.0) / 3.0
+                                          + c * d * a_sq * a_sq / 5.0), 0.0)
+        b = np.sqrt(bs)
+        sp = math.sqrt(_TWOPI) * ndtr(-b / a)
+        bvn -= np.where(-hk < 100.0,
+                        np.exp(-0.5 * hk) * sp * b
+                        * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0), 0.0)
     half_a = 0.5 * a
     # the symmetric node set covers both mirror points (1 - x) and (1 + x)
     xs = (half_a * (_GL20_X + 1.0)) ** 2
@@ -100,60 +111,127 @@ def _bvnu(dh: float, dk: float, r: float) -> float:
     keep = asr_v > -100.0
     sp_v = 1.0 + c * xs * (1.0 + d * xs)
     ep_v = np.exp(-0.5 * hk * (1.0 - rs) / (1.0 + rs)) / rs
-    bvn += half_a * float(np.sum(
-        np.where(keep, _GL20_W * np.exp(asr_v) * (ep_v - sp_v), 0.0)))
+    bvn += half_a * np.sum(
+        np.where(keep, _GL20_W * np.exp(asr_v) * (ep_v - sp_v), 0.0),
+        axis=1, keepdims=True)
     bvn = -bvn / _TWOPI
-    if r > 0.0:
-        bvn += float(ndtr(-max(h, k)))
-    else:
-        bvn = -bvn + max(0.0, float(ndtr(-h) - ndtr(-k)))
-    return max(0.0, min(1.0, bvn))
+    bvn = np.where(rh > 0.0, bvn + ndtr(-np.maximum(h, k)),
+                   -bvn + np.maximum(0.0, ndtr(-h) - ndtr(-k)))
+    out[high] = np.clip(bvn[:, 0], 0.0, 1.0)
+    return out.reshape(shape)
 
 
 def normal_cdf_2d(h: float, k: float, rho: float) -> float:
     """P(X <= h, Y <= k) for standard bivariate normal with correlation rho."""
     if not -1.0 <= rho <= 1.0:
         raise DataError("correlation must lie in [-1, 1]")
-    return _bvnu(-float(h), -float(k), float(rho))
+    return float(_bvnu(-float(h), -float(k), float(rho)))
 
 
-def _phi2(x: float, y: float, rho) -> np.ndarray:
-    """Bivariate normal density at (x, y), vectorized over rho."""
-    det = 1.0 - rho * rho
-    q = (x * x - 2.0 * rho * x * y + y * y) / det
-    return np.exp(-0.5 * q) / (_TWOPI * np.sqrt(det))
+def _path_integral(b_i, b_j, b_k, rho_ij_target, rho_ki, rho_kj):
+    """Plackett's identity integrated along the path rho_ij(t) =
+    t rho_ij_target, rho_ki(t) = t rho_ki, t in [0, 1], with rho_kj held:
+    the sum over path nodes of rho_ij_target * phi2(b_i, b_j; rho_ij(t))
+    * Phi(conditional b_k).  Columns (n, 1) in, one value per row out.
+    The integrand is evaluated a quarter of the nodes at a time, which
+    keeps the temporaries small."""
+    term = np.empty((len(b_i), _PATH_T.size))
+    quarter = _PATH_T.size // 4
+    for lo in range(0, _PATH_T.size, quarter):
+        nodes = slice(lo, lo + quarter)
+        path_t = _PATH_T[nodes]
+        rho_ij = path_t * rho_ij_target
+        rho_ki_t = path_t * rho_ki
+        det = 1.0 - rho_ij * rho_ij
+        mu = ((rho_ki_t - rho_ij * rho_kj) * b_i
+              + (rho_kj - rho_ij * rho_ki_t) * b_j) / det
+        var = 1.0 - (rho_ki_t ** 2 + rho_kj ** 2
+                     - 2.0 * rho_ij * rho_ki_t * rho_kj) / det
+        var = np.maximum(var, 0.0)
+        sd = np.sqrt(var)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(sd > 0, (b_k - mu) / np.where(sd > 0, sd, 1.0),
+                         np.where(b_k >= mu, np.inf, -np.inf))
+        # the bivariate normal density at (b_i, b_j), correlation rho_ij
+        q = (b_i * b_i - 2.0 * rho_ij * b_i * b_j + b_j * b_j) / det
+        phi2 = np.exp(-0.5 * q) / (_TWOPI * np.sqrt(det))
+        term[:, nodes] = rho_ij_target * phi2 * ndtr(z)
+    term *= _PATH_W
+    return np.sum(term, axis=1)
 
 
-def _tvn_corr_path_term(b_i, b_j, b_k, rho_ij_target, rho_ki_t, rho_kj_t):
-    """Integrand of Plackett's identity for a scaled correlation rho_ij(t):
-    rho_ij_target * phi2(b_i, b_j; t rho_ij) * Phi(conditional b_k),
-    vectorized over the path nodes."""
-    rho_ij = _PATH_T * rho_ij_target
-    det = 1.0 - rho_ij * rho_ij
-    mu = ((rho_ki_t - rho_ij * rho_kj_t) * b_i
-          + (rho_kj_t - rho_ij * rho_ki_t) * b_j) / det
-    var = 1.0 - (rho_ki_t ** 2 + rho_kj_t ** 2
-                 - 2.0 * rho_ij * rho_ki_t * rho_kj_t) / det
-    var = np.maximum(var, 0.0)
-    sd = np.sqrt(var)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(sd > 0, (b_k - mu) / np.where(sd > 0, sd, 1.0),
-                     np.where(b_k >= mu, np.inf, -np.inf))
-    return rho_ij_target * _phi2(b_i, b_j, rho_ij) * ndtr(z)
+# Dropped coordinate q: the other two coordinates and the index of their
+# correlation in (rho12, rho13, rho23).
+_DROP_VARS = np.array([[1, 2, 2], [0, 2, 1], [0, 1, 0]])
+# Singular pair p of (rho12, rho13, rho23): its coordinates (i1, i2), the
+# third coordinate i3, and the index of the correlation rho(i1, i3).
+_SINGULAR_VARS = np.array([[0, 1, 2, 1], [0, 2, 1, 0], [1, 2, 0, 0]])
+# Largest pair p: the coordinate order (b1, b2, b3) and the correlations
+# (r21, r31, r32) that put it at (2, 3).
+_PERM_B = np.array([[2, 0, 1], [1, 0, 2], [0, 1, 2]])
+_PERM_RHO = np.array([[1, 2, 0], [0, 2, 1], [0, 1, 2]])
 
 
-def normal_cdf_3d(h: float, k: float, j: float, rho12: float, rho13: float,
-                  rho23: float) -> float:
-    """P(X1 <= h, X2 <= k, X3 <= j) for standard trivariate normal.
+def _tvn(b, rho) -> np.ndarray:
+    """P(X1 <= b1, X2 <= b2, X3 <= b3) per row of b (n, 3), for standard
+    trivariate normals with correlations rho (n, 3) = (rho12, rho13,
+    rho23), assumed valid.
 
-    The correlation triple must form a positive semidefinite matrix.
-    Singular pairs (|rho| = 1) reduce exactly to bivariate calls; otherwise
-    the largest correlation is held fixed and the other two are scaled from
-    zero along a linear path, integrating Plackett's derivative identity.
+    Infinite limits and singular pairs (|rho| = 1) reduce exactly to
+    bivariate calls; otherwise the largest correlation is held fixed and
+    the other two are scaled from zero along a linear path, integrating
+    Plackett's derivative identity.  Rows are independent, so a bulk call
+    returns the same bits as one call per row.
     """
-    b = np.array([h, k, j], dtype=float)
-    rho = np.array([rho12, rho13, rho23], dtype=float)
-    if np.any(np.abs(rho) > 1.0):
+    b = np.asarray(b, dtype=float).reshape(-1, 3)
+    rho = np.asarray(rho, dtype=float).reshape(-1, 3)
+    out = np.empty(len(b))
+
+    # an infinite limit drops its coordinate (+inf) or empties the event
+    # (-inf); the bivariate kernel takes any limit left in the other two
+    inf = np.isinf(b)
+    lim = inf.any(axis=1)
+    q = np.argmax(inf[lim], axis=1)
+    at = np.arange(len(q))
+    bl = b[lim]
+    j, k, jk = _DROP_VARS[q].T
+    out[lim] = np.where(bl[at, q] < 0.0, 0.0,
+                        _bvnu(-bl[at, j], -bl[at, k], rho[lim][at, jk]))
+
+    # |rho| = 1 collapses two coordinates onto one
+    near_one = np.abs(rho) >= 1.0 - 1e-14
+    sing = near_one.any(axis=1) & ~lim
+    p = np.argmax(near_one[sing], axis=1)
+    at = np.arange(len(p))
+    bs, rs = b[sing], rho[sing]
+    i1, i2, i3, r13 = _SINGULAR_VARS[p].T
+    lo, hi = -bs[at, i2], bs[at, i1]
+    cdf = _bvnu(-np.stack([np.minimum(hi, bs[at, i2]), hi, lo]), -bs[at, i3],
+                rs[at, r13])
+    out[sing] = np.where(rs[at, p] > 0, cdf[0],
+                         np.where(lo >= hi, 0.0,
+                                  np.maximum(0.0, cdf[1] - cdf[2])))
+
+    # Permute so the pair with the largest |rho| is (2, 3); its correlation
+    # stays fixed while the two correlations touching variable 1 are scaled,
+    # which keeps the path integrand smooth for highly coherent grids.
+    rows = np.flatnonzero(~(sing | lim))
+    fixed = np.argmax(np.abs(rho[rows]), axis=1)
+    b1, b2, b3 = (b[rows, _PERM_B[fixed, c]][:, None] for c in range(3))
+    r21, r31, r32 = (rho[rows, _PERM_RHO[fixed, c]][:, None]
+                     for c in range(3))
+    total = ndtr(b1[:, 0]) * _bvnu(-b2[:, 0], -b3[:, 0], r32[:, 0])
+    total += np.where(r21[:, 0] != 0.0,
+                      _path_integral(b1, b2, b3, r21, r31, r32), 0.0)
+    total += np.where(r31[:, 0] != 0.0,
+                      _path_integral(b1, b3, b2, r31, r21, r32), 0.0)
+    out[rows] = np.clip(total, 0.0, 1.0)
+    return out
+
+
+def _check_correlations(rho12: float, rho13: float, rho23: float) -> None:
+    """Reject a correlation triple outside [-1, 1] or not PSD."""
+    if np.any(np.abs([rho12, rho13, rho23]) > 1.0):
         raise DataError("correlations must lie in [-1, 1]")
     corr = np.array([[1.0, rho12, rho13],
                      [rho12, 1.0, rho23],
@@ -161,45 +239,15 @@ def normal_cdf_3d(h: float, k: float, j: float, rho12: float, rho13: float,
     if np.linalg.eigvalsh(corr)[0] < -1e-10:
         raise DataError("non-PSD correlation")
 
-    # |rho| = 1 collapses two coordinates onto one.
-    for (i1, i2), r in (((0, 1), rho12), ((0, 2), rho13), ((1, 2), rho23)):
-        if abs(r) >= 1.0 - 1e-14:
-            i3 = 3 - i1 - i2
-            pair_r = corr[i1, i3]
-            if r > 0:
-                return normal_cdf_2d(min(b[i1], b[i2]), b[i3], pair_r)
-            lo, hi = -b[i2], b[i1]
-            if lo >= hi:
-                return 0.0
-            return max(0.0, normal_cdf_2d(hi, b[i3], pair_r)
-                       - normal_cdf_2d(lo, b[i3], pair_r))
 
-    # Permute so the pair with the largest |rho| is (2, 3); its correlation
-    # stays fixed while the two correlations touching variable 1 are scaled,
-    # which keeps the path integrand smooth for highly coherent grids.
-    pairs = np.abs(rho)
-    fixed_pair = int(np.argmax(pairs))
-    if fixed_pair == 0:      # (1,2) largest: variable 3 becomes variable 1
-        b1, b2, b3 = b[2], b[0], b[1]
-        r21, r31, r32 = rho13, rho23, rho12
-    elif fixed_pair == 1:    # (1,3) largest: variable 2 becomes variable 1
-        b1, b2, b3 = b[1], b[0], b[2]
-        r21, r31, r32 = rho12, rho23, rho13
-    else:
-        b1, b2, b3 = b[0], b[1], b[2]
-        r21, r31, r32 = rho12, rho13, rho23
+def normal_cdf_3d(h: float, k: float, j: float, rho12: float, rho13: float,
+                  rho23: float) -> float:
+    """P(X1 <= h, X2 <= k, X3 <= j) for standard trivariate normal.
 
-    base = float(ndtr(b1)) * normal_cdf_2d(b2, b3, r32)
-    total = base
-    if r21 != 0.0:
-        term = _tvn_corr_path_term(b1, b2, b3, r21,
-                                   _PATH_T * r31, np.full_like(_PATH_T, r32))
-        total += float(np.sum(_PATH_W * term))
-    if r31 != 0.0:
-        term = _tvn_corr_path_term(b1, b3, b2, r31,
-                                   _PATH_T * r21, np.full_like(_PATH_T, r32))
-        total += float(np.sum(_PATH_W * term))
-    return max(0.0, min(1.0, total))
+    The correlation triple must form a positive semidefinite matrix.
+    """
+    _check_correlations(rho12, rho13, rho23)
+    return float(_tvn([h, k, j], [rho12, rho13, rho23])[0])
 
 
 def pfa_exact_orthogonal(m: int, eta: float) -> float:
@@ -221,17 +269,16 @@ def _check_neighbors(neighbors: str) -> None:
 
 
 class _BoundRecursion:
-    """The recursion M_m(t) for one (reference, tau, neighbors), doing each
-    piece of work once.
+    """The recursion M_m(t) for one (reference, tau, neighbors) and sizes up
+    to m_max, evaluated for arrays of thresholds.
 
-    Gamma is validated on its grid at construction; the correlations of
-    grid size s are evaluated once per s; and per threshold t the products
-    M_2(t), M_3(t), ... are kept, so M_m(t) extends the prefix M_{m-1}(t)
-    by one factor.  An instance lives for one computation: nothing is
-    cached across calls.
+    Gamma is validated on its grid at construction, and the correlations of
+    each grid size s are evaluated and checked once.  An evaluation makes
+    one bivariate and one trivariate kernel call per block of the (t, s)
+    rows it needs.
     """
 
-    def __init__(self, reference, tau: float, neighbors: str):
+    def __init__(self, reference, tau: float, neighbors: str, m_max: int):
         _check_neighbors(neighbors)
         if reference is None:
             raise DataError("pfa_bound needs a dictionary built from a "
@@ -245,76 +292,63 @@ class _BoundRecursion:
         if np.any(np.diff(vals) > 1e-9):
             raise NumericError("autocorrelation not non-increasing in the "
                                "shift: comparison step invalid")
-        self._reference = reference
-        self._tau = tau
-        self._flanking = neighbors == "flanking"
-        self._rho_two = self._gamma(2.0 * tau)
-        self._rho_by_size = []        # (Gamma(delta), Gamma(2 delta)), s = 3..
-        self._prefix_by_t = {}        # t -> [M_2(t), M_3(t), ...]
 
-    def _gamma(self, u: float) -> float:
-        return max(0.0, autocorrelation(self._reference, u))
+        def gamma(u):
+            return max(0.0, autocorrelation(reference, u))
 
-    def _rho(self, size: int):
-        for s in range(len(self._rho_by_size) + 3, size + 1):
-            delta = 2.0 * self._tau / (s - 1)
-            self._rho_by_size.append((self._gamma(delta),
-                                      self._gamma(2.0 * delta)))
-        return self._rho_by_size[size - 3]
-
-    def pfa(self, t: float, m: int) -> float:
-        """1 - M_m(t), clipped to [0, 1]; 1 once a denominator vanishes."""
-        prefix = self._prefix_by_t.get(t)
-        if prefix is None:
-            prefix = self._prefix_by_t[t] = [
-                normal_cdf_2d(t, t, self._rho_two)]
-        # None marks a vanished denominator: the bound is 1 from there on
-        while len(prefix) < m - 1 and prefix[-1] is not None:
-            r1, r2 = self._rho(len(prefix) + 2)
-            if self._flanking:
-                den = normal_cdf_2d(t, t, r2)
-                num = normal_cdf_3d(t, t, t, r1, r1, r2)
-            else:
-                den = normal_cdf_2d(t, t, r1)
-                num = normal_cdf_3d(t, t, t, r1, r2, r1)
-            prefix.append(None if den <= 0.0 else prefix[-1] * (num / den))
-        big_m = prefix[min(m - 2, len(prefix) - 1)]
-        if big_m is None:
-            return 1.0
-        return float(min(1.0, max(0.0, 1.0 - big_m)))
-
-    def threshold(self, m: int, alpha: float) -> float:
-        """Smallest t with 1 - M_m(t) <= alpha, by bisection to _ETA_TOL."""
-        def big_m(t):
-            return 1.0 - self.pfa(float(t), m)
-
-        grid = np.linspace(-6.0, 8.0, 29)
-        vals = np.array([big_m(t) for t in grid])
-        if np.any(np.diff(vals) < -1e-10):
-            raise NumericError("bound recursion not monotone in the "
-                               "threshold")
-
-        target = 1.0 - alpha
-        lo, hi = -6.0, 8.0
-        for _ in range(60):
-            if big_m(lo) <= target:
+        self._rho_two = gamma(2.0 * tau)
+        deltas = 2.0 * tau / (np.arange(3, m_max + 1) - 1)
+        r1 = np.array([gamma(delta) for delta in deltas])
+        r2 = np.array([gamma(2.0 * delta) for delta in deltas])
+        # size s >= 3: z1 against z2, z3 at correlations (rho12, rho13,
+        # rho23); the denominator is P(z2 <= t, z3 <= t)
+        self._num_rho = np.stack([r1, r1, r2] if neighbors == "flanking"
+                                 else [r1, r2, r1], axis=1)
+        self._den_rho = self._num_rho[:, 2]
+        self._first_bad, self._error = m_max + 1, None
+        for size, triple in enumerate([(self._rho_two, 0.0, 0.0),
+                                       *self._num_rho], start=2):
+            try:
+                _check_correlations(*triple)
+            except DataError as exc:
+                self._first_bad, self._error = size, exc
                 break
-            lo -= 8.0
-            if lo < -80.0:
-                raise NumericError("bracketing failure (low side)")
-        for _ in range(60):
-            if big_m(hi) >= target:
-                break
-            hi += 8.0
-            if hi > 80.0:
-                raise NumericError("bracketing failure (high side)")
-        while hi - lo > _ETA_TOL:
-            mid = 0.5 * (lo + hi)
-            if big_m(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+
+    def check(self, m: int) -> None:
+        """Raise the input error of the first grid size <= m that has one."""
+        if m >= self._first_bad:
+            raise self._error
+
+    def pfa(self, t, m) -> np.ndarray:
+        """Row i: the bounds 1 - M_s(t_i), clipped to [0, 1], for s = 2 ..
+        m_i, continued with the value at m_i up to the largest m; 1 from a
+        size whose denominator vanishes.
+
+        M_s = M_{s-1} * (num / den) is multiplied in size order (cumprod),
+        so no value depends on the other rows, and rows are evaluated in
+        blocks that bound the kernels' memory.
+        """
+        t = np.asarray(t, dtype=float)
+        m = np.asarray(m)
+        factors = np.ones((len(t), m.max() - 1))
+        # consecutive blocks of about _KERNEL_ROWS (t, size) rows each
+        cuts = np.flatnonzero(np.diff(np.cumsum(m - 2) // _KERNEL_ROWS)) + 1
+        for start, stop in zip([0, *cuts], [*cuts, len(t)]):
+            tb, rows = t[start:stop], factors[start:stop]
+            i, j = np.nonzero(np.arange(3, m.max() + 1)
+                              <= m[start:stop, None])
+            cdf2 = _bvnu(-np.concatenate([tb, tb[i]]),
+                         -np.concatenate([tb, tb[i]]),
+                         np.concatenate([np.full(len(tb), self._rho_two),
+                                         self._den_rho[j]]))
+            num = _tvn(np.repeat(tb[i, None], 3, axis=1), self._num_rho[j])
+            den = cdf2[len(tb):]
+            rows[:, 0] = cdf2[:len(tb)]
+            # a zero factor makes the bound 1 from the vanished size on
+            rows[i, j + 1] = np.divide(num, den, out=np.zeros_like(num),
+                                       where=den > 0.0)
+        return np.minimum(1.0, np.maximum(0.0, 1.0 - np.cumprod(factors,
+                                                                axis=1)))
 
 
 def pfa_bound(dictionary: Dictionary, eta: float,
@@ -343,11 +377,13 @@ def pfa_bound(dictionary: Dictionary, eta: float,
     involved correlations vanish.
     """
     _check_neighbors(neighbors)
-    if dictionary.m == 1:
+    m = dictionary.m
+    if m == 1:
         return pfa_exact_orthogonal(1, eta)
     recursion = _BoundRecursion(dictionary.reference, dictionary.tau,
-                                neighbors)
-    return recursion.pfa(float(eta), dictionary.m)
+                                neighbors, m)
+    recursion.check(m)
+    return float(recursion.pfa([float(eta)], [m])[0, -1])
 
 
 def threshold_table(reference, tau: float, ms, alpha: float,
@@ -356,16 +392,22 @@ def threshold_table(reference, tau: float, ms, alpha: float,
     [-tau, tau]: for each m the smallest threshold whose false-alarm bound
     is at most alpha, found by bisection to within 1e-8.
 
-    All sizes share one validated Gamma and one recursion, so M_m(t) at a
-    threshold already visited for a smaller m costs one factor per extra
-    grid size.  Each m runs the same checks and bisection as on its own,
-    so the thresholds equal `threshold_for_pfa`'s bit for bit.  Sizes are
-    processed in the given order; the first failure is raised.
+    Every m is checked first, in the given order, and the first failure is
+    raised: its grid sizes' correlations, the monotonicity of M_m on a
+    shared 29-point grid of thresholds, and the bracket [lo, hi], widened
+    in steps of 8 where needed.  Then all sizes bisect in lockstep, one
+    recursion evaluation per round for the unfinished ones.  Only the
+    comparisons M_m(mid) < 1 - alpha steer a bisection, and each value is
+    computed as on its own, so the thresholds equal `threshold_for_pfa`'s
+    bit for bit.
     """
     if not (0.0 < alpha < 1.0):
         raise DataError("alpha must lie in (0, 1)")
+    ms = list(ms)
+    target = 1.0 - alpha
     recursion = None
     out = []
+    bound_ms, los, his = [], [], []
     for m in ms:
         if m < 1:
             raise DataError("m must be >= 1")
@@ -373,9 +415,42 @@ def threshold_table(reference, tau: float, ms, alpha: float,
             out.append(float(ndtri(1.0 - alpha)))
             continue
         if recursion is None:
-            recursion = _BoundRecursion(reference, tau, neighbors)
-        out.append(recursion.threshold(m, alpha))
-    return out
+            recursion = _BoundRecursion(reference, tau, neighbors, max(ms))
+            on_grid = 1.0 - recursion.pfa(
+                _MONOTONE_GRID, np.full(len(_MONOTONE_GRID), max(ms)))
+        recursion.check(m)
+        vals = on_grid[:, m - 2]
+        if np.any(np.diff(vals) < -1e-10):
+            raise NumericError("bound recursion not monotone in the "
+                               "threshold")
+        lo, hi = _MONOTONE_GRID[0], _MONOTONE_GRID[-1]
+        value = vals[0]
+        while value > target:
+            lo -= 8.0
+            if lo < -80.0:
+                raise NumericError("bracketing failure (low side)")
+            value = 1.0 - recursion.pfa([lo], [m])[0, -1]
+        value = vals[-1]
+        while value < target:
+            hi += 8.0
+            if hi > 80.0:
+                raise NumericError("bracketing failure (high side)")
+            value = 1.0 - recursion.pfa([hi], [m])[0, -1]
+        out.append(None)
+        bound_ms.append(m)
+        los.append(lo)
+        his.append(hi)
+
+    bound_ms, lo, hi = np.array(bound_ms), np.array(los), np.array(his)
+    active = np.flatnonzero(hi - lo > _ETA_TOL)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        below = 1.0 - recursion.pfa(mid, bound_ms[active])[:, -1] < target
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+        active = active[hi[active] - lo[active] > _ETA_TOL]
+    etas = iter(0.5 * (lo + hi))
+    return [float(next(etas)) if eta is None else eta for eta in out]
 
 
 def threshold_for_pfa(dictionary: Dictionary, alpha: float,

@@ -166,15 +166,18 @@ def load_cube(path) -> Cube:
         if len(header) != 20:
             raise DataError(f"{path}: truncated header")
         n_y, n_x, l, flags, band_origin = struct.unpack("<IIIIi", header)
-        blocks = {}
         names = ("data", "variance") if flags & _FLAG_VARIANCE else ("data",)
-        for name in names:
-            block = np.fromfile(fh, dtype="<f8", count=n_y * n_x * l)
-            if block.size != n_y * n_x * l:
+        # sized from the file before any block is allocated: a header may
+        # claim far more data than the file holds
+        start, block_bytes = fh.tell(), 8 * n_y * n_x * l
+        size = os.fstat(fh.fileno()).st_size
+        for k, name in enumerate(names, start=1):
+            if size < start + k * block_bytes:
                 raise DataError(f"{path}: truncated {name} block")
-            blocks[name] = block.reshape(n_y, n_x, l)
-        if fh.read(1):
+        if size > start + len(names) * block_bytes:
             raise DataError(f"{path}: trailing bytes")
+        blocks = {name: np.fromfile(fh, dtype="<f8", count=n_y * n_x * l)
+                  .reshape(n_y, n_x, l) for name in names}
     cube = Cube(band_origin=band_origin, **blocks)
     _check_nan_policy(cube)
     return cube

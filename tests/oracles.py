@@ -1,12 +1,19 @@
 """Scalar reference implementations that the vectorized library paths are
-checked against: `similarity` for `similarity.score_matrix` and
-`glr_statistic` for `simulate.glr_field`.  They score one spectrum at a
-time, written straight from the definitions."""
+checked against: `similarity` for `similarity.score_matrix`,
+`glr_statistic` for `simulate.glr_field`, and `bvnu` and `tvn` for the
+array kernels of `pfabound`.  They work on one input at a time, written
+straight from the definitions or the published algorithms."""
+
+import math
 
 import numpy as np
+from scipy.special import ndtr
 
 from shiftdetect.errors import DataError
+from shiftdetect.pfabound import _GL20_W, _GL20_X, _PATH_T, _PATH_W
 from shiftdetect.similarity import SimilarityKind
+
+_TWOPI = 2.0 * math.pi
 
 
 def similarity(kind: SimilarityKind, y, d) -> float:
@@ -46,3 +53,146 @@ def glr_statistic(y, dictionary, sigma_diag) -> float:
     num = dictionary.atoms @ (y / sigma_diag)
     den = np.sqrt(np.sum(dictionary.atoms ** 2 / sigma_diag, axis=1))
     return float(np.max(num / den))
+
+
+def bvnu(dh: float, dk: float, r: float) -> float:
+    """Upper bivariate normal probability P(X > dh, Y > dk) for standard
+    margins with correlation r, one branch per case.
+
+    Port of the Drezner-Wesolowsky / Genz algorithm: a Gauss-Legendre
+    evaluation of the arcsine-parametrized integral for |r| < 0.925 and the
+    transformed complementary expansion above that.
+    """
+    if np.isposinf(dh) or np.isposinf(dk):
+        return 0.0
+    if np.isneginf(dh):
+        return 1.0 if np.isneginf(dk) else float(ndtr(-dk))
+    if np.isneginf(dk):
+        return float(ndtr(-dh))
+    if r == 0.0:
+        return float(ndtr(-dh) * ndtr(-dk))
+    if r >= 1.0:
+        return float(ndtr(-max(dh, dk)))
+    if r <= -1.0:
+        return float(max(0.0, ndtr(-dh) - ndtr(dk)))
+
+    h, k = dh, dk
+    hk = h * k
+    bvn = 0.0
+    if abs(r) < 0.925:
+        hs = 0.5 * (h * h + k * k)
+        asr = math.asin(r)
+        sn = np.sin(0.5 * asr * (1.0 + _GL20_X))
+        bvn = float(np.sum(_GL20_W * np.exp((sn * hk - hs) / (1.0 - sn * sn))))
+        return max(0.0, min(1.0, bvn * asr / (2.0 * _TWOPI)
+                            + float(ndtr(-h) * ndtr(-k))))
+
+    if r < 0.0:
+        k = -k
+        hk = -hk
+    a_sq = (1.0 - r) * (1.0 + r)
+    a = math.sqrt(a_sq)
+    bs = (h - k) ** 2
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 16.0
+    asr = -0.5 * (bs / a_sq + hk)
+    if asr > -100.0:
+        bvn = a * math.exp(asr) * (1.0 - c * (bs - a_sq)
+                                   * (1.0 - d * bs / 5.0) / 3.0
+                                   + c * d * a_sq * a_sq / 5.0)
+    if -hk < 100.0:
+        b = math.sqrt(bs)
+        sp = math.sqrt(_TWOPI) * float(ndtr(-b / a))
+        bvn -= math.exp(-0.5 * hk) * sp * b * (1.0 - c * bs
+                                               * (1.0 - d * bs / 5.0) / 3.0)
+    half_a = 0.5 * a
+    # the symmetric node set covers both mirror points (1 - x) and (1 + x)
+    xs = (half_a * (_GL20_X + 1.0)) ** 2
+    rs = np.sqrt(1.0 - xs)
+    asr_v = -0.5 * (bs / xs + hk)
+    keep = asr_v > -100.0
+    sp_v = 1.0 + c * xs * (1.0 + d * xs)
+    ep_v = np.exp(-0.5 * hk * (1.0 - rs) / (1.0 + rs)) / rs
+    bvn += half_a * float(np.sum(
+        np.where(keep, _GL20_W * np.exp(asr_v) * (ep_v - sp_v), 0.0)))
+    bvn = -bvn / _TWOPI
+    if r > 0.0:
+        bvn += float(ndtr(-max(h, k)))
+    else:
+        bvn = -bvn + max(0.0, float(ndtr(-h) - ndtr(-k)))
+    return max(0.0, min(1.0, bvn))
+
+
+def _phi2(x: float, y: float, rho) -> np.ndarray:
+    """Bivariate normal density at (x, y), vectorized over rho."""
+    det = 1.0 - rho * rho
+    q = (x * x - 2.0 * rho * x * y + y * y) / det
+    return np.exp(-0.5 * q) / (_TWOPI * np.sqrt(det))
+
+
+def _tvn_corr_path_term(b_i, b_j, b_k, rho_ij_target, rho_ki_t, rho_kj_t):
+    """Integrand of Plackett's identity for a scaled correlation rho_ij(t):
+    rho_ij_target * phi2(b_i, b_j; t rho_ij) * Phi(conditional b_k),
+    vectorized over the path nodes."""
+    rho_ij = _PATH_T * rho_ij_target
+    det = 1.0 - rho_ij * rho_ij
+    mu = ((rho_ki_t - rho_ij * rho_kj_t) * b_i
+          + (rho_kj_t - rho_ij * rho_ki_t) * b_j) / det
+    var = 1.0 - (rho_ki_t ** 2 + rho_kj_t ** 2
+                 - 2.0 * rho_ij * rho_ki_t * rho_kj_t) / det
+    var = np.maximum(var, 0.0)
+    sd = np.sqrt(var)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(sd > 0, (b_k - mu) / np.where(sd > 0, sd, 1.0),
+                     np.where(b_k >= mu, np.inf, -np.inf))
+    return rho_ij_target * _phi2(b_i, b_j, rho_ij) * ndtr(z)
+
+
+def tvn(h: float, k: float, j: float, rho12: float, rho13: float,
+        rho23: float) -> float:
+    """P(X1 <= h, X2 <= k, X3 <= j) for a standard trivariate normal with a
+    valid correlation triple.
+
+    Singular pairs (|rho| = 1) reduce exactly to bivariate probabilities;
+    otherwise the largest correlation is held fixed and the other two are
+    scaled from zero along a linear path, integrating Plackett's derivative
+    identity with Gauss-Legendre quadrature.
+    """
+    b = np.array([h, k, j], dtype=float)
+    rho = np.array([rho12, rho13, rho23], dtype=float)
+    corr = np.array([[1.0, rho12, rho13],
+                     [rho12, 1.0, rho23],
+                     [rho13, rho23, 1.0]])
+    for (i1, i2), r in (((0, 1), rho12), ((0, 2), rho13), ((1, 2), rho23)):
+        if abs(r) >= 1.0 - 1e-14:
+            i3 = 3 - i1 - i2
+            pair_r = corr[i1, i3]
+            if r > 0:
+                return bvnu(-min(b[i1], b[i2]), -b[i3], pair_r)
+            lo, hi = -b[i2], b[i1]
+            if lo >= hi:
+                return 0.0
+            return max(0.0, bvnu(-hi, -b[i3], pair_r)
+                       - bvnu(-lo, -b[i3], pair_r))
+
+    fixed_pair = int(np.argmax(np.abs(rho)))
+    if fixed_pair == 0:      # (1,2) largest: variable 3 becomes variable 1
+        b1, b2, b3 = b[2], b[0], b[1]
+        r21, r31, r32 = rho13, rho23, rho12
+    elif fixed_pair == 1:    # (1,3) largest: variable 2 becomes variable 1
+        b1, b2, b3 = b[1], b[0], b[2]
+        r21, r31, r32 = rho12, rho23, rho13
+    else:
+        b1, b2, b3 = b[0], b[1], b[2]
+        r21, r31, r32 = rho12, rho13, rho23
+
+    total = float(ndtr(b1)) * bvnu(-b2, -b3, r32)
+    if r21 != 0.0:
+        term = _tvn_corr_path_term(b1, b2, b3, r21,
+                                   _PATH_T * r31, np.full_like(_PATH_T, r32))
+        total += float(np.sum(_PATH_W * term))
+    if r31 != 0.0:
+        term = _tvn_corr_path_term(b1, b3, b2, r31,
+                                   _PATH_T * r21, np.full_like(_PATH_T, r32))
+        total += float(np.sum(_PATH_W * term))
+    return max(0.0, min(1.0, total))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -48,16 +50,33 @@ class TestIngest:
         assert run("ingest", "--input", workdir / "nope.fdc",
                    "--output", workdir / "x.fdc") == 2
 
+    def test_header_larger_than_file_exits_2(self, tmp_path, capsys):
+        # the header claims about 2 PiB of data; the check must come before
+        # any block is allocated
+        path = tmp_path / "huge.fdc"
+        path.write_bytes(b"FDC1" + struct.pack("<IIIIi", 65536, 65536,
+                                               65535, 0, 0) + bytes(64))
+        assert path.stat().st_size == 88
+        assert run("ingest", "--input", path,
+                   "--output", tmp_path / "x.fdc") == 2
+        assert "truncated data block" in capsys.readouterr().err
+
 
 class TestPreprocessDetectFlow:
-    def test_full_workflow(self, workdir):
+    @pytest.fixture(scope="class")
+    def prep(self, workdir):
+        """The preprocessed cube, written once for the tests that read it."""
+        path = workdir / "prep.fdc"
         assert run("preprocess", "--cube", workdir / "raw.fdc",
-                   "--out", workdir / "prep.fdc", "--fsf", "delta") == 0
-        assert run("null-fit", "--cube", workdir / "prep.fdc",
+                   "--out", path, "--fsf", "delta") == 0
+        return path
+
+    def test_full_workflow(self, workdir, prep):
+        assert run("null-fit", "--cube", prep,
                    "--center", "120,120,17",
                    "--out-model", workdir / "model.csv",
                    "--out-dict", workdir / "dict.csv") == 0
-        assert run("detect", "--cube", workdir / "prep.fdc",
+        assert run("detect", "--cube", prep,
                    "--center", "120,120,17", "--q", "0.2",
                    "--model", workdir / "model.csv",
                    "--dict-in", workdir / "dict.csv",
@@ -75,24 +94,25 @@ class TestPreprocessDetectFlow:
         assert run("detect", *window, "--model", workdir / "lone_model.csv",
                    "--out", workdir / "maps_nodict") == 2
 
-    def test_detect_estimates_when_no_model_given(self, workdir):
-        assert run("detect", "--cube", workdir / "prep.fdc",
+    def test_detect_estimates_when_no_model_given(self, workdir, prep):
+        assert run("detect", "--cube", prep,
                    "--center", "120,120,17", "--q", "0.2",
                    "--out", workdir / "maps2") == 0
 
-    def test_pi0_flag_variants(self, workdir):
+    def test_pi0_flag_variants(self, workdir, prep):
         for spec in ("one", "storey:0.5"):
-            assert run("detect", "--cube", workdir / "prep.fdc",
+            assert run("detect", "--cube", prep,
                        "--center", "120,120,17", "--q", "0.2",
                        "--pi0", spec, "--out", workdir / f"maps_{spec[:3]}") \
                 == 0
-        assert run("detect", "--cube", workdir / "prep.fdc",
+        assert run("detect", "--cube", prep,
                    "--center", "120,120,17", "--pi0", "bogus",
                    "--out", workdir / "mapsX") == 2
 
-    def test_region_outside_cube_exits_2(self, workdir):
-        assert run("detect", "--cube", workdir / "prep.fdc",
+    def test_region_outside_cube_exits_2(self, workdir, prep, capsys):
+        assert run("detect", "--cube", prep,
                    "--center", "10,10,17", "--out", workdir / "maps3") == 2
+        assert "window outside cube" in capsys.readouterr().err
 
 
 class TestPi0Modes:

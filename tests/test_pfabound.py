@@ -5,15 +5,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
+from shiftdetect import pfabound
 from shiftdetect.cli import main
-from shiftdetect.dictionary import (autocorrelation, build_lss,
-                                    gaussian_line_reference)
+from shiftdetect.dictionary import (ReferenceAtom, autocorrelation,
+                                    build_lss, gaussian_line_reference)
 from shiftdetect.errors import DataError, NumericError
-from shiftdetect.pfabound import (_BoundRecursion, normal_cdf_2d,
-                                  normal_cdf_3d, pfa_bound,
+from shiftdetect.pfabound import (_BoundRecursion, _bvnu, _tvn,
+                                  normal_cdf_2d, normal_cdf_3d, pfa_bound,
                                   pfa_exact_orthogonal, threshold_for_pfa,
                                   threshold_for_pfa_orthogonal,
                                   threshold_table)
+from tests.oracles import bvnu, tvn
+
+
+def two_bump_reference():
+    """Two bumps: the overlap curve rises again at the bump separation."""
+    values = np.zeros(60)
+    values[20] = 1.0
+    values[40] = 1.0
+    return ReferenceAtom(values, center_band=20)
 
 
 def mc_orthant_2d(h, k, rho, n, rng):
@@ -134,6 +144,94 @@ class TestNormalCdf3d:
             normal_cdf_3d(0, 0, 0, 0.9, 0.9, -0.9)
 
 
+_LIMITS = st.one_of(st.floats(-8.0, 8.0),
+                    st.sampled_from([math.inf, -math.inf]))
+_CORRS = st.one_of(st.floats(-1.0, 1.0),
+                   st.sampled_from([0.0, 1.0, -1.0, 0.925, -0.925, 0.99999,
+                                    -0.99999, 1.0 - 1e-15]))
+
+
+@st.composite
+def correlation_triples(draw):
+    """(rho12, rho13, rho23) of a valid correlation matrix: the Gram matrix
+    of three unit vectors, a singular matrix with one pair at +-1, or a
+    single nonzero correlation."""
+    kind = draw(st.sampled_from(["gram", "singular", "zeros"]))
+    r = draw(_CORRS)
+    pair = draw(st.integers(0, 2))
+    if kind == "zeros":
+        return tuple(r if p == pair else 0.0 for p in range(3))
+    if kind == "singular":
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        # X_i2 = sign X_i1, so the third coordinate meets X_i2 at sign * r
+        return [(sign, r, sign * r), (r, sign, sign * r),
+                (r, sign * r, sign)][pair]
+    vectors = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=9,
+                                     max_size=9))).reshape(3, 3)
+    norms = np.linalg.norm(vectors, axis=1)
+    if np.any(norms < 1e-3):
+        vectors, norms = np.eye(3), np.ones(3)
+    unit = vectors / norms[:, None]
+    gram = np.clip(unit @ unit.T, -1.0, 1.0)
+    return gram[0, 1], gram[0, 2], gram[1, 2]
+
+
+class TestArrayKernels:
+    """The array kernels against the scalar oracles, branch by branch:
+    infinite limits, r = 0, |r| = 1, negative r, |r| >= 0.925 and singular
+    trivariate pairs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dh=_LIMITS, dk=_LIMITS, r=_CORRS)
+    def test_bivariate_matches_oracle(self, dh, dk, r):
+        assert abs(float(_bvnu(dh, dk, r)) - bvnu(dh, dk, r)) <= 1e-14
+
+    @settings(max_examples=300, deadline=None)
+    @given(b=st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3),
+           rho=correlation_triples())
+    def test_trivariate_matches_oracle(self, b, rho):
+        got = float(_tvn(b, rho)[0])
+        assert abs(got - tvn(*b, *rho)) <= 1e-14
+        assert normal_cdf_3d(*b, *rho) == got
+
+    @settings(max_examples=100, deadline=None)
+    @given(b=st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3),
+           infinite=st.lists(st.sampled_from([None, math.inf, -math.inf]),
+                             min_size=3, max_size=3).filter(any),
+           rho=correlation_triples())
+    def test_trivariate_infinite_limit_drops_coordinate(self, b, infinite,
+                                                        rho):
+        b = [v if v is not None else x for x, v in zip(b, infinite)]
+        finite = [i for i in range(3) if math.isfinite(b[i])]
+        if -math.inf in b:
+            want = 0.0
+        elif len(finite) == 2:
+            i, j = finite
+            want = bvnu(-b[i], -b[j], rho[i + j - 1])
+        else:
+            want = float(ndtr(b[finite[0]])) if finite else 1.0
+        assert abs(normal_cdf_3d(*b, *rho) - want) <= 1e-14
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(_LIMITS, _LIMITS, _CORRS), min_size=1,
+                    max_size=40))
+    def test_bivariate_bulk_equals_single_calls(self, rows):
+        dh, dk, r = np.array(rows).T
+        single = np.array([_bvnu(*row) for row in rows])
+        assert _bvnu(dh, dk, r).tobytes() == single.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.floats(-6.0, 6.0), min_size=3,
+                                       max_size=3),
+                              correlation_triples()),
+                    min_size=1, max_size=40))
+    def test_trivariate_bulk_equals_single_calls(self, rows):
+        b = np.array([row[0] for row in rows])
+        rho = np.array([row[1] for row in rows])
+        single = np.concatenate([_tvn(*row) for row in rows])
+        assert _tvn(b, rho).tobytes() == single.tobytes()
+
+
 class TestPfaExactOrthogonal:
     def test_single_atom(self):
         eta = float(ndtri(0.95))
@@ -205,13 +303,7 @@ class TestPfaBound:
             pfa_bound(loaded, 2.0)
 
     def test_rejects_nonmonotone_autocorrelation(self):
-        # two bumps: the overlap curve rises again at the bump separation
-        values = np.zeros(60)
-        values[20] = 1.0
-        values[40] = 1.0
-        from shiftdetect.dictionary import ReferenceAtom
-        ref = ReferenceAtom(values, center_band=20)
-        d = build_lss(ref, 3, 10.0, "integer")
+        d = build_lss(two_bump_reference(), 3, 10.0, "integer")
         with pytest.raises(NumericError):
             pfa_bound(d, 2.0)
 
@@ -269,10 +361,32 @@ def direct_pfa_bound(reference, m, tau, t, neighbors):
     return float(min(1.0, max(0.0, 1.0 - big_m)))
 
 
+def direct_threshold(reference, m, tau, alpha, neighbors):
+    """`threshold_for_pfa`'s monotonicity check, bracket and bisection for
+    one m, written out on `direct_pfa_bound`."""
+    def big_m(t):
+        return 1.0 - direct_pfa_bound(reference, m, tau, t, neighbors)
+
+    vals = [big_m(t) for t in np.linspace(-6.0, 8.0, 29)]
+    assert not np.any(np.diff(vals) < -1e-10)
+    target = 1.0 - alpha
+    lo, hi = -6.0, 8.0
+    while big_m(lo) > target:
+        lo -= 8.0
+    while big_m(hi) < target:
+        hi += 8.0
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if big_m(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 _STANDARD_REF = gaussian_line_reference(30, 15, 5.0)
-# one recursion per convention, shared by every example below, so its
-# memo is hit at thresholds and sizes visited in arbitrary order
-_SHARED = {nb: _BoundRecursion(_STANDARD_REF, 8.0, nb)
+# one recursion per convention, shared by every example below
+_SHARED = {nb: _BoundRecursion(_STANDARD_REF, 8.0, nb, 20)
            for nb in ("flanking", "one_sided")}
 
 
@@ -285,9 +399,8 @@ class TestSharedRecursion:
         want = direct_pfa_bound(_STANDARD_REF, m, 8.0, t, neighbors)
         d = build_lss(_STANDARD_REF, m, 8.0, "continuous")
         assert pfa_bound(d, t, neighbors=neighbors) == want
-        shared = _SHARED[neighbors]
-        shared.pfa(t, first)
-        assert shared.pfa(t, m) == want
+        # a row's value does not depend on the other rows of the call
+        assert _SHARED[neighbors].pfa([t, t], [first, m])[1, -1] == want
 
     def test_vanished_denominator_gives_one(self):
         # far below the grid every orthant probability underflows to 0
@@ -296,7 +409,20 @@ class TestSharedRecursion:
                 want = direct_pfa_bound(_STANDARD_REF, m, 8.0, -45.0,
                                         neighbors)
                 assert want == 1.0
-                assert _SHARED[neighbors].pfa(-45.0, m) == want
+                assert _SHARED[neighbors].pfa([-45.0], [m])[0, -1] == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(fwhm=st.floats(2.5, 6.0), tau=st.floats(3.0, 9.0),
+           alpha=st.floats(0.01, 0.1),
+           neighbors=st.sampled_from(["flanking", "one_sided"]),
+           ms=st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    def test_table_equals_per_m_bisection(self, fwhm, tau, alpha,
+                                          neighbors, ms):
+        ref = gaussian_line_reference(40, 20, fwhm, 6.0)
+        table = threshold_table(ref, tau, ms, alpha, neighbors=neighbors)
+        want = [float(ndtri(1.0 - alpha)) if m == 1 else
+                direct_threshold(ref, m, tau, alpha, neighbors) for m in ms]
+        assert table == want
 
     @pytest.mark.parametrize("ms, neighbors", [
         ([1, 2, 3, 5, 8, 13, 20], "flanking"),
@@ -320,6 +446,42 @@ class TestSharedRecursion:
         # reference is consulted
         assert threshold_table(None, 8.0, [1], 0.05, neighbors="both") \
             == [float(ndtri(0.95))]
+        # sizes are checked in the given order and the first failure is
+        # raised, whichever check it fails
+        two_bump = two_bump_reference()
+        with pytest.raises(NumericError, match="autocorrelation"):
+            threshold_table(two_bump, 10.0, [1, 3], 0.05)
+        with pytest.raises(NumericError, match="autocorrelation"):
+            threshold_table(two_bump, 10.0, [3, 0], 0.05)
+        with pytest.raises(DataError, match="m must be"):
+            threshold_table(two_bump, 10.0, [0, 3], 0.05)
+        with pytest.raises(DataError, match="m must be"):
+            threshold_table(_STANDARD_REF, 8.0, [2, 5, 0], 0.05)
+
+    def test_grid_size_failure_raised_at_first_m_that_uses_it(
+            self, monkeypatch):
+        # make the correlations of grid size 6 (and only those) fail
+        bad = max(0.0, autocorrelation(_STANDARD_REF, 2.0 * 8.0 / 5))
+        check = pfabound._check_correlations
+
+        def failing_check(rho12, rho13, rho23):
+            if rho12 == bad:
+                raise DataError("non-PSD correlation")
+            check(rho12, rho13, rho23)
+
+        good = threshold_table(_STANDARD_REF, 8.0, [5, 3], 0.05)
+        monkeypatch.setattr(pfabound, "_check_correlations", failing_check)
+        assert threshold_table(_STANDARD_REF, 8.0, [5, 3], 0.05) == good
+        for ms in ([5, 6], [6, 0], [3, 7, 0]):
+            with pytest.raises(DataError, match="non-PSD"):
+                threshold_table(_STANDARD_REF, 8.0, ms, 0.05)
+        with pytest.raises(DataError, match="m must be"):
+            threshold_table(_STANDARD_REF, 8.0, [5, 0, 6], 0.05)
+        d5 = build_lss(_STANDARD_REF, 5, 8.0, "continuous")
+        assert pfa_bound(d5, 2.0) == direct_pfa_bound(_STANDARD_REF, 5, 8.0,
+                                                      2.0, "flanking")
+        with pytest.raises(DataError, match="non-PSD"):
+            pfa_bound(build_lss(_STANDARD_REF, 6, 8.0, "continuous"), 2.0)
 
     def test_orthogonal_threshold_inverts_exact_rate(self):
         for m in (1, 7, 20):
