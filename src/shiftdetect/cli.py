@@ -23,40 +23,16 @@ from .nullmodel import NullModel
 from .pfabound import threshold_for_pfa_orthogonal, threshold_table
 from .pipeline import (DictionaryParams, FsfKernel, RegionSpec, fit_region,
                        gaussian_fsf, load_cube, load_cube_csvdir, preprocess,
-                       run_detection, save_cube, save_cube_csvdir, write_maps)
+                       read_key_values, run_detection, save_cube,
+                       save_cube_csvdir, write_maps)
 from .similarity import SimilarityKind
 from .simulate import NoiseSpec, fdr_snr_sweep, glr_contrast, uniform_kernel
 
 
-def _read_config(path) -> dict:
-    """Flat key=value file; blank lines and #-comments ignored."""
-    conf = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise DataError(f"{path}:{lineno}: expected key=value")
-                conf[key.strip()] = value.strip()
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
-    return conf
-
-
-def _load_any_cube(path):
+def _load_any_cube(path, window=None):
     if os.path.isdir(path):
-        return load_cube_csvdir(path)
-    return load_cube(path)
-
-
-def _save_any_cube(cube, path, fmt):
-    if fmt == "csvdir":
-        save_cube_csvdir(cube, path)
-    else:
-        save_cube(cube, path)
+        return load_cube_csvdir(path, window)
+    return load_cube(path, window)
 
 
 def _number(text, kind, what):
@@ -128,15 +104,20 @@ def _build_fsf(spec) -> FsfKernel:
 
 def _fit_inputs(args) -> tuple:
     """(cube, region, dictionary params, similarity, saved dictionary or
-    None) of the arguments `_add_fit_args` declares."""
+    None) of `_add_fit_args`: the cube holds only the fit window (the test
+    window for a saved fit), and the region is re-centred on that box."""
     cy, cx, cb = _parse_center(args.center)
     region = RegionSpec(center_y=cy, center_x=cx, center_band=cb,
                         half_width=args.half_width, half_bands=args.half_bands,
                         fit_half_width=args.fit_half_width)
     params = DictionaryParams(m=args.m, tau=args.tau, mode=args.mode,
                               n_center_pixels=args.center_pixels)
-    return (_load_any_cube(args.cube), region, params,
-            SimilarityKind.parse(args.similarity),
+    half = region.half_width if getattr(args, "model", None) \
+        and args.dict_in else region.fit_half_width
+    return (_load_any_cube(args.cube, region.box(half)),
+            dataclasses.replace(region, center_y=half, center_x=half,
+                                center_band=region.half_bands),
+            params, SimilarityKind.parse(args.similarity),
             Dictionary.load_csv(args.dict_in) if args.dict_in else None)
 
 
@@ -160,7 +141,8 @@ def _add_fit_args(sub):
 
 def cmd_ingest(args) -> int:
     cube = _load_any_cube(args.input)
-    _save_any_cube(cube, args.output, args.output_format)
+    save = save_cube_csvdir if args.output_format == "csvdir" else save_cube
+    save(cube, args.output)
     print(f"ingested cube {cube.shape} -> {args.output}")
     return 0
 
@@ -203,7 +185,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    conf = _read_config(args.config)
+    conf = read_key_values(args.config)
 
     def get(key, default, kind):
         return _number(conf.get(key, default), kind, f"{args.config}: {key}")

@@ -9,7 +9,6 @@ fractional shifts in idealized studies).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -202,21 +201,22 @@ class Dictionary:
 
     def save_csv(self, path) -> None:
         """Write shifts (header row) and atoms (one row per atom) at 17
-        significant digits so the matrix round-trips bit-exactly."""
+        significant digits so the matrix round-trips bit-exactly; rows end
+        in CRLF, as `csv.writer` ends them."""
+        row = ",".join(["%.17g"] * self.length) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["%.17g" % s for s in self.shifts])
-            for row in self.atoms:
-                writer.writerow(["%.17g" % v for v in row])
+            fh.write(",".join("%.17g" % v for v in self.shifts) + "\r\n")
+            fh.write(row * self.m % tuple(self.atoms.ravel().tolist()))
 
     @classmethod
     def load_csv(cls, path) -> "Dictionary":
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-        if len(rows) < 2:
-            raise DataError(f"{path}: expected a shift header plus atom rows")
-        shifts = np.array([float(v) for v in rows[0]])
-        atoms = np.array([[float(v) for v in row] for row in rows[1:]])
+        with open(path) as fh:
+            try:
+                shifts = np.array(fh.readline().split(","), dtype=float)
+                atoms = np.array([row.split(",") for row in fh if row.strip()],
+                                 dtype=float)
+            except ValueError as exc:
+                raise DataError(f"{path}: malformed number ({exc})") from None
         if atoms.shape[0] != shifts.size:
             raise DataError(f"{path}: header/atom row count mismatch")
         tau = float(np.max(np.abs(shifts))) if shifts.size else 0.0
@@ -271,18 +271,15 @@ def build_lss(reference: ReferenceAtom, m: int, tau: float,
                           reference=reference, mode=mode)
 
     shifts = lss_shift_grid(m, tau)
-    if mode == MODE_INTEGER:
-        offgrid = np.abs(shifts - np.round(shifts)) > _INT_SHIFT_TOL
-        if np.any(offgrid):
-            raise DataError(
-                "integer shift mode requires whole-band shifts; "
-                f"grid step 2*tau/(m-1) = {2 * tau / (m - 1):g} is fractional "
-                "(use continuous mode)")
-    elif reference.model is None:
-        fractional = np.abs(shifts - np.round(shifts)) > _INT_SHIFT_TOL
-        if np.any(fractional):
-            raise DataError("continuous mode with fractional shifts requires "
-                            "a reference with a continuous model")
+    fractional = np.any(np.abs(shifts - np.round(shifts)) > _INT_SHIFT_TOL)
+    if fractional and mode == MODE_INTEGER:
+        raise DataError(
+            "integer shift mode requires whole-band shifts; "
+            f"grid step 2*tau/(m-1) = {2 * tau / (m - 1):g} is fractional "
+            "(use continuous mode)")
+    if fractional and reference.model is None:
+        raise DataError("continuous mode with fractional shifts requires "
+                        "a reference with a continuous model")
 
     atoms = np.empty((m, reference.length))
     for i, s in enumerate(shifts):

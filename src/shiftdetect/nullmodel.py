@@ -10,7 +10,6 @@ pi0_hat = min(2 n0 / n, 1).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,30 +33,34 @@ class NullModel:
     pooled: np.ndarray
 
     def __post_init__(self):
-        if self.pooled.size != 2 * self.n0:
-            raise DataError("pooled sample must have size 2*n0")
+        pooled = self.pooled
+        if pooled.shape != (2 * self.n0,) or not np.all(np.isfinite(pooled)) \
+                or np.any(pooled[1:] < pooled[:-1]):
+            raise DataError("pooled sample must be 2*n0 sorted finite values")
         if not (0.0 < self.pi0_hat <= 1.0):
             raise DataError("pi0_hat must lie in (0, 1]")
 
     def save_csv(self, path) -> None:
+        """Header, values and pooled rows at %.17g, CRLF as `csv.writer`."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mu0_hat", "pi0_hat", "n0", "n_fit"])
-            writer.writerow(["%.17g" % self.mu0_hat, "%.17g" % self.pi0_hat,
-                             self.n0, self.n_fit])
-            for v in self.pooled:
-                writer.writerow(["%.17g" % v])
+            fh.write("mu0_hat,pi0_hat,n0,n_fit\r\n%.17g,%.17g,%d,%d\r\n"
+                     % (self.mu0_hat, self.pi0_hat, self.n0, self.n_fit))
+            fh.write("%.17g\r\n" * self.pooled.size
+                     % tuple(self.pooled.tolist()))
 
     @classmethod
     def load_csv(cls, path) -> "NullModel":
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-        if len(rows) < 2 or rows[0][0] != "mu0_hat":
-            raise DataError(f"{path}: not a NullModel CSV")
-        head = rows[1]
-        return cls(mu0_hat=float(head[0]), pi0_hat=float(head[1]),
-                   n0=int(head[2]), n_fit=int(head[3]),
-                   pooled=np.array([float(r[0]) for r in rows[2:]]))
+        with open(path) as fh:
+            if fh.readline().strip() != "mu0_hat,pi0_hat,n0,n_fit":
+                raise DataError(f"{path}: not a NullModel CSV")
+            try:
+                mu0, pi0, n0, n_fit = fh.readline().split(",")
+                fields = (float(mu0), float(pi0), int(n0), int(n_fit),
+                          np.array(fh.read().split(), dtype=float))
+            except ValueError as exc:
+                raise DataError(f"{path}: malformed NullModel CSV ({exc})") \
+                    from None
+        return cls(*fields)
 
 
 def fit_null(field: TestField) -> NullModel:
@@ -77,15 +80,19 @@ def fit_null(field: TestField) -> NullModel:
     pool = np.concatenate([tmax, neg_min])
     if np.all(pool == pool[0]):
         raise DataError("degenerate field: all statistics identical")
-    spool = np.sort(pool, kind="stable")
-    mu0 = 0.5 * (spool[n - 1] + spool[n])
+    lo, hi = np.partition(pool, [n - 1, n])[n - 1:n + 1]
+    if lo == hi == 0:   # signed zeros: take them in stable-sort order
+        lo, hi = np.sort(pool, kind="stable")[n - 1:n + 1]
+    mu0 = 0.5 * (lo + hi)
 
     s0 = tmax[tmax <= mu0]
     n0 = int(s0.size)
     if n0 == 0:
         raise DataError("degenerate field: no max statistics at or below "
                         "the pooled median")
-    g0 = np.sort(neg_min, kind="stable")[-n0:]
+    g0 = np.partition(neg_min, n - n0)[n - n0:]
+    if not g0.all():    # a zero among them: as for mu0
+        g0 = np.sort(neg_min, kind="stable")[-n0:]
     pi0 = min((2 * n0) / n, 1.0)
     pooled = np.sort(np.concatenate([s0, g0]), kind="stable")
     return NullModel(mu0_hat=float(mu0), pi0_hat=pi0, n0=n0, n_fit=n,

@@ -18,7 +18,7 @@ scheme (including the transformed high-correlation branch); the trivariate
 CDF integrates Plackett's correlation-derivative identity along a linear
 correlation path with Gauss-Legendre quadrature.  Both kernels work on
 arrays, element by element; `normal_cdf_2d` and `normal_cdf_3d` are their
-validated scalar forms.
+validated scalar forms (a NaN limit or correlation raises DataError).
 """
 
 from __future__ import annotations
@@ -125,6 +125,8 @@ def normal_cdf_2d(h: float, k: float, rho: float) -> float:
     """P(X <= h, Y <= k) for standard bivariate normal with correlation rho."""
     if not -1.0 <= rho <= 1.0:
         raise DataError("correlation must lie in [-1, 1]")
+    if np.isnan([h, k]).any():
+        raise DataError("limits must not be NaN")
     return float(_bvnu(-float(h), -float(k), float(rho)))
 
 
@@ -247,6 +249,8 @@ def normal_cdf_3d(h: float, k: float, j: float, rho12: float, rho13: float,
     The correlation triple must form a positive semidefinite matrix.
     """
     _check_correlations(rho12, rho13, rho23)
+    if np.isnan([h, k, j]).any():
+        raise DataError("limits must not be NaN")
     return float(_tvn([h, k, j], [rho12, rho13, rho23])[0])
 
 

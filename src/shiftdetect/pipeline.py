@@ -8,6 +8,7 @@ reported as untested in output maps.
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 from dataclasses import dataclass, field
@@ -52,7 +53,7 @@ class Cube:
             var = np.asarray(self.variance, dtype=float)
             if var.shape != data.shape:
                 raise DataError("variance cube shape mismatch")
-            if np.any(var[~np.isnan(var)] <= 0):
+            if np.any(var <= 0):
                 raise DataError("variance must be strictly positive")
             object.__setattr__(self, "variance", var)
 
@@ -105,36 +106,31 @@ class RegionSpec:
         if self.fit_half_width < self.half_width:
             raise DataError("test region must fit inside the fit region")
 
-    def band_slice(self) -> slice:
-        return slice(self.center_band - self.half_bands,
-                     self.center_band + self.half_bands)
+    def box(self, half: int) -> tuple:
+        """(rows, cols, bands) slices: the `half` square, the band window."""
+        y, x, b = self.center_y, self.center_x, self.center_band
+        return (slice(y - half, y + half), slice(x - half, x + half),
+                slice(b - self.half_bands, b + self.half_bands))
 
     def test_slices(self):
-        return (slice(self.center_y - self.half_width,
-                      self.center_y + self.half_width),
-                slice(self.center_x - self.half_width,
-                      self.center_x + self.half_width),
-                self.band_slice())
+        return self.box(self.half_width)
 
     def fit_slices(self):
-        return (slice(self.center_y - self.fit_half_width,
-                      self.center_y + self.fit_half_width),
-                slice(self.center_x - self.fit_half_width,
-                      self.center_x + self.fit_half_width),
-                self.band_slice())
+        return self.box(self.fit_half_width)
+
+
+def _check_window(shape, slices) -> None:
+    if any(s.start < 0 or s.stop > n for s, n in zip(slices, shape)):
+        raise DataError("window outside cube")
 
 
 def extract(cube: Cube, slices) -> Cube:
     """Subcube view; raises when the window leaves the cube."""
-    n_y, n_x, l = cube.shape
-    sy, sx, sb = slices
-    if sy.start < 0 or sx.start < 0 or sb.start < 0 \
-            or sy.stop > n_y or sx.stop > n_x or sb.stop > l:
-        raise DataError("window outside cube")
-    return Cube(data=cube.data[sy, sx, sb],
+    _check_window(cube.shape, slices)
+    return Cube(data=cube.data[slices],
                 variance=None if cube.variance is None
-                else cube.variance[sy, sx, sb],
-                band_origin=cube.band_origin + sb.start)
+                else cube.variance[slices],
+                band_origin=cube.band_origin + slices[2].start)
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +147,15 @@ def save_cube(cube: Cube, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIIi", n_y, n_x, l, flags, cube.band_origin))
-        fh.write(np.ascontiguousarray(cube.data, dtype="<f8").tobytes())
-        if cube.variance is not None:
-            fh.write(np.ascontiguousarray(cube.variance,
-                                          dtype="<f8").tobytes())
+        for block in (cube.data, cube.variance)[:2 if flags else 1]:
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
-def load_cube(path) -> Cube:
+def load_cube(path, window=None) -> Cube:
+    """Read a `save_cube` file, or just the box `window` (slices as
+    `RegionSpec.box` gives them), copied from a read-only map; that equals
+    `extract(load_cube(path), window)`.  The NaN policy is checked on what
+    is returned: values outside the window are neither copied nor checked."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -167,7 +165,7 @@ def load_cube(path) -> Cube:
             raise DataError(f"{path}: truncated header")
         n_y, n_x, l, flags, band_origin = struct.unpack("<IIIIi", header)
         names = ("data", "variance") if flags & _FLAG_VARIANCE else ("data",)
-        # sized from the file before any block is allocated: a header may
+        # sized from the file before any block is mapped: a header may
         # claim far more data than the file holds
         start, block_bytes = fh.tell(), 8 * n_y * n_x * l
         size = os.fstat(fh.fileno()).st_size
@@ -176,11 +174,34 @@ def load_cube(path) -> Cube:
                 raise DataError(f"{path}: truncated {name} block")
         if size > start + len(names) * block_bytes:
             raise DataError(f"{path}: trailing bytes")
-        blocks = {name: np.fromfile(fh, dtype="<f8", count=n_y * n_x * l)
-                  .reshape(n_y, n_x, l) for name in names}
-    cube = Cube(band_origin=band_origin, **blocks)
+        window = window or (slice(0, n_y), slice(0, n_x), slice(0, l))
+        _check_window((n_y, n_x, l), window)
+        # only copies leave the map: a view of a rewritten file can fault
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            blocks = {name: np.ndarray((n_y, n_x, l), "<f8", mapped,
+                                       start + k * block_bytes)[window].copy()
+                      for k, name in enumerate(names)}
+    cube = Cube(band_origin=band_origin + window[2].start, **blocks)
     _check_nan_policy(cube)
     return cube
+
+
+def read_key_values(path) -> dict:
+    """Flat key=value file; blank lines and #-comments ignored."""
+    conf = {}
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise DataError(f"{path}:{lineno}: expected key=value")
+                conf[key.strip()] = value.strip()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return conf
 
 
 def save_cube_csvdir(cube: Cube, dirpath) -> None:
@@ -200,23 +221,17 @@ def save_cube_csvdir(cube: Cube, dirpath) -> None:
                        cube.variance[:, :, b], fmt="%.17g", delimiter=",")
 
 
-def load_cube_csvdir(dirpath) -> Cube:
-    meta_path = os.path.join(dirpath, "meta.txt")
-    if not os.path.exists(meta_path):
-        raise DataError(f"{dirpath}: missing meta.txt")
-    meta = {}
-    with open(meta_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                meta[key] = int(value)
+def load_cube_csvdir(dirpath, window=None) -> Cube:
+    """Read a `save_cube_csvdir` directory; `window` as in `load_cube`."""
+    meta = read_key_values(os.path.join(dirpath, "meta.txt"))
     try:
-        n_y, n_x, l = meta["n_y"], meta["n_x"], meta["l"]
-    except KeyError as exc:
-        raise DataError(f"{dirpath}: incomplete metadata") from exc
+        n_y, n_x, l = (int(meta[key]) for key in ("n_y", "n_x", "l"))
+        origin, has_variance = (int(meta.get(key, 0))
+                                for key in ("band_origin", "has_variance"))
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"{dirpath}: bad metadata ({exc})") from None
     data = np.empty((n_y, n_x, l))
-    variance = np.empty((n_y, n_x, l)) if meta.get("has_variance") else None
+    variance = np.empty((n_y, n_x, l)) if has_variance else None
     for b in range(l):
         band = np.loadtxt(os.path.join(dirpath, f"band{b:04d}.csv"),
                           delimiter=",", ndmin=2)
@@ -227,8 +242,8 @@ def load_cube_csvdir(dirpath) -> Cube:
             variance[:, :, b] = np.loadtxt(
                 os.path.join(dirpath, f"variance{b:04d}.csv"),
                 delimiter=",", ndmin=2)
-    cube = Cube(data=data, variance=variance,
-                band_origin=meta.get("band_origin", 0))
+    cube = Cube(data=data, variance=variance, band_origin=origin)
+    cube = cube if window is None else extract(cube, window)
     _check_nan_policy(cube)
     return cube
 
@@ -255,16 +270,6 @@ def masked_pixels(cube: Cube) -> np.ndarray:
 # preprocessing
 
 
-def moving_median_baseline(data: np.ndarray, window: int) -> np.ndarray:
-    """Per-pixel running median along the band axis (edge-extended).  A
-    stand-in continuum estimate for inputs that still carry one."""
-    if window < 3 or window % 2 == 0:
-        raise DataError("baseline window must be odd and >= 3")
-    # reflect padding: edge-extended padding would make the median equal the
-    # data itself over the first and last half-windows
-    return ndimage.median_filter(data, size=(1, 1, window), mode="reflect")
-
-
 def preprocess(cube: Cube, fsf: Optional[FsfKernel] = None,
                baseline_window: Optional[int] = None,
                use_variance: bool = True) -> Cube:
@@ -281,7 +286,12 @@ def preprocess(cube: Cube, fsf: Optional[FsfKernel] = None,
     data = cube.data.copy()
     mask = masked_pixels(cube)
     if baseline_window is not None:
-        data = data - moving_median_baseline(data, baseline_window)
+        if baseline_window < 3 or baseline_window % 2 == 0:
+            raise DataError("baseline window must be odd and >= 3")
+        # reflect padding: edge-extended padding would make the median equal
+        # the data itself over the first and last half-windows
+        data = data - ndimage.median_filter(
+            data, size=(1, 1, baseline_window), mode="reflect")
     if use_variance:
         if cube.variance is None:
             raise DataError("variance reduction requested but the cube "
@@ -459,11 +469,12 @@ def write_pgm(path, values: np.ndarray, invert: bool = False) -> None:
 
 
 def write_maps(output: DetectionOutput, outdir, prefix: str = "map") -> None:
-    """CSV grid plus PGM preview for every map in the detection output."""
+    """CSV grid (`np.savetxt`'s %.17g bytes) plus PGM preview per map."""
     os.makedirs(outdir, exist_ok=True)
     for name, values in output.maps.items():
         arr = values.astype(float)
-        np.savetxt(os.path.join(outdir, f"{prefix}_{name}.csv"), arr,
-                   fmt="%.17g", delimiter=",")
+        row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+        with open(os.path.join(outdir, f"{prefix}_{name}.csv"), "w") as fh:
+            fh.write(row * arr.shape[0] % tuple(arr.ravel().tolist()))
         write_pgm(os.path.join(outdir, f"{prefix}_{name}.pgm"), arr,
                   invert=name in ("pvalue", "qvalue"))

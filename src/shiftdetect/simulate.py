@@ -301,10 +301,9 @@ def score(detected, truth: GroundTruth) -> Metrics:
     order.
     """
     detected = np.asarray(detected)
-    if detected.shape != truth.h1_mask.shape:
-        detected = detected.reshape(truth.h1_mask.shape)
-    if detected.shape != truth.h1_mask.shape:
+    if detected.size != truth.h1_mask.size:
         raise DataError("detection map and truth shapes differ")
+    detected = detected.reshape(truth.h1_mask.shape)
     r = int(np.count_nonzero(detected))
     tp = int(np.count_nonzero(detected & truth.h1_mask))
     fp = r - tp

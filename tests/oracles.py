@@ -2,14 +2,20 @@
 checked against: `similarity` for `similarity.score_matrix`,
 `glr_statistic` for `simulate.glr_field`, and `bvnu` and `tvn` for the
 array kernels of `pfabound`.  They work on one input at a time, written
-straight from the definitions or the published algorithms."""
+straight from the definitions or the published algorithms.
 
+`fit_null_sorted` and the `csv.writer` writers are the earlier, plainer
+forms of `nullmodel.fit_null` and of the fit-artifact writers; the faster
+library code must reproduce their results bit for bit."""
+
+import csv
 import math
 
 import numpy as np
 from scipy.special import ndtr
 
 from shiftdetect.errors import DataError
+from shiftdetect.nullmodel import NullModel
 from shiftdetect.pfabound import _GL20_W, _GL20_X, _PATH_T, _PATH_W
 from shiftdetect.similarity import SimilarityKind
 
@@ -196,3 +202,48 @@ def tvn(h: float, k: float, j: float, rho12: float, rho13: float,
                                    _PATH_T * r21, np.full_like(_PATH_T, r32))
         total += float(np.sum(_PATH_W * term))
     return max(0.0, min(1.0, total))
+
+
+def fit_null_sorted(field) -> NullModel:
+    """`fit_null` by two full stable sorts: mu0_hat is the mean of the
+    middle pair of the sorted pool, g0 the last n0 of the stably sorted
+    flipped minima."""
+    tmax = np.asarray(field.tmax, dtype=float)
+    neg_min = -np.asarray(field.tmin, dtype=float)
+    n = tmax.size
+    if n < 2:
+        raise DataError("need at least two tested pixels")
+    pool = np.concatenate([tmax, neg_min])
+    if np.all(pool == pool[0]):
+        raise DataError("degenerate field: all statistics identical")
+    spool = np.sort(pool, kind="stable")
+    mu0 = 0.5 * (spool[n - 1] + spool[n])
+    s0 = tmax[tmax <= mu0]
+    n0 = int(s0.size)
+    if n0 == 0:
+        raise DataError("degenerate field: no max statistics at or below "
+                        "the pooled median")
+    g0 = np.sort(neg_min, kind="stable")[-n0:]
+    pooled = np.sort(np.concatenate([s0, g0]), kind="stable")
+    return NullModel(mu0_hat=float(mu0), pi0_hat=min((2 * n0) / n, 1.0),
+                     n0=n0, n_fit=n, pooled=pooled)
+
+
+def write_null_csv(model, path) -> None:
+    """The NullModel CSV written row by row through `csv.writer`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["mu0_hat", "pi0_hat", "n0", "n_fit"])
+        writer.writerow(["%.17g" % model.mu0_hat, "%.17g" % model.pi0_hat,
+                         model.n0, model.n_fit])
+        for v in model.pooled:
+            writer.writerow(["%.17g" % v])
+
+
+def write_dictionary_csv(dictionary, path) -> None:
+    """The Dictionary CSV written row by row through `csv.writer`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["%.17g" % s for s in dictionary.shifts])
+        for row in dictionary.atoms:
+            writer.writerow(["%.17g" % v for v in row])

@@ -109,6 +109,56 @@ class TestPreprocessDetectFlow:
                    "--center", "120,120,17", "--pi0", "bogus",
                    "--out", workdir / "mapsX") == 2
 
+    @pytest.fixture(scope="class")
+    def fit(self, workdir, prep):
+        """A saved null model and dictionary, fitted once."""
+        paths = workdir / "fit_model.csv", workdir / "fit_dict.csv"
+        assert run("null-fit", "--cube", prep, "--center", "120,120,17",
+                   "--out-model", paths[0], "--out-dict", paths[1]) == 0
+        return paths
+
+    @pytest.mark.parametrize("artifact, edit, message", [
+        (0, lambda rows: rows[:7] + ["abc"] + rows[8:], "malformed"),
+        (0, lambda rows: rows[:2] + rows[:1:-1], "sorted"),
+        (1, lambda rows: rows[:3] + ["abc" + rows[3]] + rows[4:],
+         "malformed number"),
+    ], ids=["model-abc", "model-pooled-reversed", "dict-abc"])
+    def test_tampered_fit_artifact_exits_2(self, prep, fit, tmp_path, capsys,
+                                           artifact, edit, message):
+        # a saved fit either loads as written or stops the run: a reordered
+        # null would otherwise give a quiet wrong answer
+        paths = list(fit)
+        rows = paths[artifact].read_text().splitlines()
+        paths[artifact] = tmp_path / "tampered.csv"
+        paths[artifact].write_text("\n".join(edit(rows)) + "\n")
+        assert run("detect", "--cube", prep, "--center", "120,120,17",
+                   "--model", paths[0], "--dict-in", paths[1],
+                   "--out", tmp_path / "maps") == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("voxel, oneshot, saved", [
+        ((120, 120, 3), 2, 2),      # inside the test window
+        ((130, 30, 3), 2, 0),       # inside the fit window only
+        ((5, 5, 17), 0, 0),         # outside both windows
+        ((120, 120, 0), 0, 0),      # outside the band window
+    ])
+    def test_nan_policy_covers_the_loaded_box(self, prep, fit, tmp_path,
+                                              capsys, voxel, oneshot, saved):
+        # one partially NaN pixel: detect reads the fit window, or only the
+        # test window when a saved fit is given, and checks what it reads
+        cube = load_cube(prep)
+        data = cube.data.copy()
+        data[voxel] = np.nan
+        path = tmp_path / "nan.fdc"
+        save_cube(Cube(data=data, band_origin=cube.band_origin), path)
+        window = ("--cube", path, "--center", "120,120,17")
+        assert run("detect", *window, "--out", tmp_path / "a") == oneshot
+        assert run("detect", *window, "--model", fit[0], "--dict-in", fit[1],
+                   "--out", tmp_path / "b") == saved
+        err = capsys.readouterr().err
+        assert ("NaNs allowed only in fully masked pixels" in err) \
+            == (2 in (oneshot, saved))
+
     def test_region_outside_cube_exits_2(self, workdir, prep, capsys):
         assert run("detect", "--cube", prep,
                    "--center", "10,10,17", "--out", workdir / "maps3") == 2

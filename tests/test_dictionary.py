@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftdetect.dictionary import (Dictionary, ReferenceAtom, SampledLineModel,
                                     autocorrelation, build_lss,
                                     expected_max_gain,
                                     gaussian_line_reference, lss_shift_grid)
 from shiftdetect.errors import DataError
+from tests.oracles import write_dictionary_csv
 
 
 def naive_roll_truncate(values, shift):
@@ -208,6 +210,39 @@ class TestSerialization:
         path.write_text("1,2,3\n")
         with pytest.raises(DataError):
             Dictionary.load_csv(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:2] + ["abc," + rows[2]] + rows[3:],
+        lambda rows: ["x" + rows[0]] + rows[1:],
+        lambda rows: rows[:-1] + [rows[-1] + ",1"],
+    ], ids=["atom-abc", "shift-x", "ragged-row"])
+    def test_load_rejects_malformed_numbers(self, gauss_reference, tmp_path,
+                                            edit):
+        path = tmp_path / "dict.csv"
+        build_lss(gauss_reference, 5, 4.0, "integer").save_csv(path)
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(edit(rows)) + "\n")
+        with pytest.raises(DataError, match="malformed number"):
+            Dictionary.load_csv(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 9), l=st.integers(2, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_csv_bytes_equal_csv_writer(self, tmp_path_factory, m, l, seed):
+        rng = np.random.default_rng(seed)
+        atoms = rng.standard_normal((m, l))
+        atoms[:, 0] *= np.where(rng.random(m) < 0.3, -0.0, 1.0)
+        atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
+        d = Dictionary(atoms=atoms, shifts=rng.standard_normal(m), tau=1.0,
+                       coherence=0.0)
+        root = tmp_path_factory.mktemp("dict")
+        d.save_csv(root / "fast.csv")
+        write_dictionary_csv(d, root / "oracle.csv")
+        assert (root / "fast.csv").read_bytes() == \
+            (root / "oracle.csv").read_bytes()
+        back = Dictionary.load_csv(root / "fast.csv")
+        assert back.atoms.tobytes() == d.atoms.tobytes()
+        assert back.shifts.tobytes() == d.shifts.tobytes()
 
 
 def test_sampled_line_model_round_trip(gauss_reference):

@@ -9,6 +9,7 @@ from shiftdetect.nullmodel import (NullModel, _ratio_round_down,
                                    empirical_pvalues, fit_null, null_cdf)
 from shiftdetect.similarity import SimilarityKind
 from shiftdetect.teststat import TestField, compute_field
+from tests.oracles import fit_null_sorted, write_null_csv
 
 
 def make_field(tmax, tmin):
@@ -74,6 +75,27 @@ class TestFitNull:
     def test_needs_two_pixels(self):
         with pytest.raises(DataError):
             fit_null(make_field([1.0], [0.0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(*[st.sampled_from(
+        [-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])] * 2),
+        min_size=2, max_size=40))
+    def test_equals_sort_oracle_on_tied_fields(self, pairs):
+        # quantised statistics with both signed zeros: the partition-based
+        # fit must give the bits of two full stable sorts, including the
+        # sign of a zero median and the order of signed zeros in pooled
+        field = make_field([max(p) for p in pairs], [min(p) for p in pairs])
+        try:
+            expected = fit_null_sorted(field)
+        except DataError as exc:
+            with pytest.raises(DataError, match=str(exc)):
+                fit_null(field)
+            return
+        got = fit_null(field)
+        assert np.float64(got.mu0_hat).tobytes() == \
+            np.float64(expected.mu0_hat).tobytes()
+        assert (got.n0, got.pi0_hat) == (expected.n0, expected.pi0_hat)
+        assert got.pooled.tobytes() == expected.pooled.tobytes()
 
     def test_pi0_upward_bias_in_contaminated_setting(self, line_dictionary,
                                                      rng):
@@ -253,4 +275,46 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("nope\n1,2\n")
         with pytest.raises(DataError):
+            NullModel.load_csv(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=30),
+           mu0=st.floats(allow_nan=False),
+           pi0=st.floats(0.0, 1.0, exclude_min=True),
+           n_fit=st.integers(0, 2 ** 40))
+    def test_bytes_equal_csv_writer_and_round_trip(self, tmp_path_factory,
+                                                   values, mu0, pi0, n_fit):
+        pooled = np.sort(np.array(values * 2), kind="stable")
+        model = NullModel(mu0_hat=mu0, pi0_hat=pi0, n0=len(values),
+                          n_fit=n_fit, pooled=pooled)
+        root = tmp_path_factory.mktemp("null")
+        model.save_csv(root / "fast.csv")
+        write_null_csv(model, root / "oracle.csv")
+        assert (root / "fast.csv").read_bytes() == \
+            (root / "oracle.csv").read_bytes()
+        back = NullModel.load_csv(root / "fast.csv")
+        assert np.float64(back.mu0_hat).tobytes() == \
+            np.float64(mu0).tobytes()
+        assert (back.pi0_hat, back.n0, back.n_fit) == (pi0, model.n0, n_fit)
+        assert back.pooled.tobytes() == pooled.tobytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:5] + ["abc"] + rows[6:], "malformed"),
+        (lambda rows: rows[:2] + ["1,2,3"] + rows[3:], "malformed"),
+        (lambda rows: rows[:1] + ["0.5,x,4,9"] + rows[2:], "malformed"),
+        (lambda rows: rows[:1] + ["0.5,1"] + rows[2:], "malformed"),
+        (lambda rows: ["mu0_hat"] + rows[1:], "not a NullModel"),
+        (lambda rows: rows[:2] + rows[:1:-1], "sorted"),
+        (lambda rows: rows[:2] + ["nan"] + rows[3:], "finite"),
+        (lambda rows: rows[:-1] + ["inf"], "finite"),
+        (lambda rows: rows[:-1], "2\\*n0"),
+    ], ids=["abc", "two-columns", "values-x", "short-values", "header",
+            "reversed", "nan", "inf", "one-short"])
+    def test_load_fails_closed(self, rng, tmp_path, edit, message):
+        path = tmp_path / "model.csv"
+        fit_null(random_field(rng, 50)).save_csv(path)
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(edit(rows)) + "\n")
+        with pytest.raises(DataError, match=message):
             NullModel.load_csv(path)

@@ -91,6 +91,18 @@ class TestNormalCdf2d:
             normal_cdf_2d(0.0, 0.0, 1.5)
 
 
+@pytest.mark.parametrize("args", [
+    (math.nan, 0.0, 0.5), (0.0, math.nan, -0.5),
+    (math.nan, 0.0, 0.0, 0.5, 0.5, 0.5), (0.0, 0.0, math.nan, 0.0, 0.0, 0.0),
+    (math.inf, math.nan, 0.0, 0.5, 0.5, 0.5),
+])
+def test_nan_limit_raises(args):
+    # a NaN limit would otherwise come back as a NaN probability
+    cdf = normal_cdf_2d if len(args) == 3 else normal_cdf_3d
+    with pytest.raises(DataError, match="NaN"):
+        cdf(*args)
+
+
 class TestNormalCdf3d:
     def test_independence(self):
         got = normal_cdf_3d(0.5, -0.2, 1.1, 0.0, 0.0, 0.0)

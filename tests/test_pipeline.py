@@ -1,7 +1,10 @@
 import struct
+from types import SimpleNamespace
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftdetect.dictionary import build_lss
 from shiftdetect.errors import DataError
@@ -28,6 +31,30 @@ def random_cube(rng, shape=(6, 5, 4), variance=False, mask_pixel=None):
         if var is not None:
             var[mask_pixel] = np.nan
     return Cube(data=data, variance=var, band_origin=7)
+
+
+@st.composite
+def windowed_cubes(draw):
+    """A small cube, with or without a variance block and masked pixels,
+    and a window inside it that often starts or ends at a cube edge."""
+    shape = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    window = []
+    for n in shape:
+        start = 0 if draw(st.booleans()) else draw(st.integers(0, n - 1))
+        stop = n if draw(st.booleans()) else draw(st.integers(start + 1, n))
+        window.append(slice(start, stop))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = rng.standard_normal(shape)
+    var = rng.uniform(0.5, 2.0, shape) if draw(st.booleans()) else None
+    for y, x in draw(st.lists(st.tuples(st.integers(0, shape[0] - 1),
+                                        st.integers(0, shape[1] - 1)),
+                              max_size=4)):
+        data[y, x] = np.nan
+        if var is not None:
+            var[y, x] = np.nan
+    cube = Cube(data=data, variance=var,
+                band_origin=draw(st.integers(-50, 50)))
+    return cube, tuple(window)
 
 
 class TestCubeContainer:
@@ -96,6 +123,61 @@ class TestBinaryIO:
             fh.write(b"x")
         with pytest.raises(DataError, match="trailing"):
             load_cube(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=windowed_cubes())
+    def test_window_load_equals_whole_load_then_extract(
+            self, tmp_path_factory, case):
+        cube, window = case
+        path = tmp_path_factory.mktemp("window") / "cube.fdc"
+        save_cube(cube, path)
+        expected = extract(load_cube(path), window)
+        got = load_cube(path, window)
+        assert got.band_origin == expected.band_origin
+        assert got.shape == expected.shape
+        assert got.data.tobytes() == expected.data.tobytes()
+        if cube.variance is None:
+            assert got.variance is None
+        else:
+            assert got.variance.tobytes() == expected.variance.tobytes()
+        # only copies leave the file map, so the file can be rewritten
+        for block in (got.data, got.variance):
+            assert block is None or block.base is None
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("edge", ["start", "stop"])
+    def test_window_outside_cube(self, rng, tmp_path, axis, edge):
+        cube = random_cube(rng, variance=True)
+        path = tmp_path / "cube.fdc"
+        save_cube(cube, path)
+        window = [slice(0, n) for n in cube.shape]
+        n = cube.shape[axis]
+        window[axis] = slice(-1, n) if edge == "start" else slice(0, n + 1)
+        with pytest.raises(DataError, match="window outside cube"):
+            load_cube(path, tuple(window))
+
+    def test_window_checks_only_the_window(self, rng, tmp_path):
+        cube = random_cube(rng, shape=(6, 5, 4), variance=True)
+        data, var = cube.data.copy(), cube.variance.copy()
+        data[0, 0, 1] = np.nan         # a partially NaN pixel
+        var[5, 4, 3] = 0.0             # an invalid variance
+        path = tmp_path / "cube.fdc"
+        path.write_bytes(b"FDC1" + struct.pack("<IIIIi", 6, 5, 4, 1, 0)
+                         + data.tobytes() + var.tobytes())
+        for window, message in [(None, "strictly positive"),
+                                ((slice(0, 2), slice(0, 2), slice(0, 4)),
+                                 "masked"),
+                                ((slice(5, 6), slice(4, 5), slice(3, 4)),
+                                 "strictly positive")]:
+            with pytest.raises(DataError, match=message):
+                load_cube(path, window)
+        # outside the window nothing is read or checked: the other pixels,
+        # or the same pixels over bands that hold no bad value
+        for window in [(slice(1, 6), slice(0, 4), slice(0, 4)),
+                       (slice(0, 6), slice(0, 5), slice(2, 3))]:
+            got = load_cube(path, window)
+            assert np.array_equal(got.data, data[window])
+            assert np.array_equal(got.variance, var[window])
 
     def test_partial_nan_policy(self, rng, tmp_path):
         cube = random_cube(rng)
@@ -385,6 +467,23 @@ class TestMapOutput:
         assert header.startswith(b"P5\n30 30\n255\n")
         grid = np.loadtxt(csv, delimiter=",")
         assert grid.shape == (30, 30)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2,
+                                                        max_dims=2,
+                                                        max_side=6),
+                           elements=st.floats(width=64)))
+    def test_csv_bytes_equal_savetxt(self, tmp_path_factory, grid):
+        # NaN cells (untested pixels), infinities, signed zeros, subnormals
+        # and boolean maps all print as np.savetxt prints them
+        root = tmp_path_factory.mktemp("maps")
+        maps = {"pvalue": grid, "detected": ~np.isnan(grid) & (grid > 0)}
+        write_maps(SimpleNamespace(maps=maps), root)
+        for name, values in maps.items():
+            np.savetxt(root / f"{name}.csv", values.astype(float),
+                       fmt="%.17g", delimiter=",")
+            assert (root / f"map_{name}.csv").read_bytes() == \
+                (root / f"{name}.csv").read_bytes()
 
     def test_pgm_handles_nan(self, tmp_path):
         arr = np.array([[0.0, np.nan], [0.5, 1.0]])
