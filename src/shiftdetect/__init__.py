@@ -17,7 +17,6 @@ from .pfabound import (normal_cdf_2d, normal_cdf_3d, pfa_bound,
                        pfa_exact_orthogonal, threshold_for_pfa)
 from .pipeline import (Cube, DetectionOutput, DictionaryParams, FsfKernel,
                        RegionSpec, estimate_reference, extract, gaussian_fsf,
-                       reference_pixel_mask,
                        load_cube, load_cube_csvdir, preprocess,
                        run_detection, save_cube, save_cube_csvdir,
                        write_maps, write_pgm)

@@ -127,14 +127,16 @@ def _add_fit_args(sub):
     sub.add_argument("--cube", required=True)
     sub.add_argument("--center", required=True,
                      help="test-window center as 'row,col,band'")
-    sub.add_argument("--half-width", type=int, default=25)
-    sub.add_argument("--half-bands", type=int, default=15)
-    sub.add_argument("--fit-half-width", type=int, default=100)
-    sub.add_argument("--m", type=int, default=15)
-    sub.add_argument("--tau", type=float, default=7.0)
-    sub.add_argument("--mode", default="integer",
+    sub.add_argument("--half-width", type=int, default=RegionSpec.half_width)
+    sub.add_argument("--half-bands", type=int, default=RegionSpec.half_bands)
+    sub.add_argument("--fit-half-width", type=int,
+                     default=RegionSpec.fit_half_width)
+    sub.add_argument("--m", type=int, default=DictionaryParams.m)
+    sub.add_argument("--tau", type=float, default=DictionaryParams.tau)
+    sub.add_argument("--mode", default=DictionaryParams.mode,
                      choices=["integer", "continuous"])
-    sub.add_argument("--center-pixels", type=int, default=5)
+    sub.add_argument("--center-pixels", type=int,
+                     default=DictionaryParams.n_center_pixels)
     sub.add_argument("--dict-in", default=None,
                      help="reuse a saved dictionary instead of estimating one")
 
@@ -158,7 +160,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_null_fit(args) -> int:
-    dictionary, model = fit_region(*_fit_inputs(args))
+    dictionary, model, _ = fit_region(*_fit_inputs(args))
     model.save_csv(args.out_model)
     if args.out_dict:
         dictionary.save_csv(args.out_dict)
@@ -284,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for Monte-Carlo harnesses")
+                        help="worker processes for the simulate sweep "
+                             "(no other command reads it)")
     parser.add_argument("--similarity", default="sad", choices=["mf", "sad"])
     sub = parser.add_subparsers(dest="command", required=True)
 

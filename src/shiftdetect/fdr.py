@@ -3,7 +3,7 @@ q-values."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -15,59 +15,58 @@ from .teststat import TestField
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Per-pixel p-values, q-values and the binary decision at nominal_q,
-    with the plug-in pi0 and the stable sort order of the p-values, which
-    `detected_at` reuses to decide at any other level."""
+    """Per-pixel p-values and q-values, the plug-in pi0 and the stable sort
+    order of the p-values, with the decision at nominal_q; `detected_at`
+    reuses the order to decide at any other level.  Built by `_decide`."""
 
     pvalues: np.ndarray
     qvalues: np.ndarray
-    detected: np.ndarray
-    k_hat: int
     nominal_q: float
     pi0: float
     order: np.ndarray
+    detected: np.ndarray = field(init=False)
+    k_hat: int = field(init=False)
+
+    def __post_init__(self):
+        detected = self.detected_at(self.nominal_q)
+        object.__setattr__(self, "detected", detected)
+        object.__setattr__(self, "k_hat", int(np.count_nonzero(detected)))
 
     def detected_at(self, level: float) -> np.ndarray:
-        """The decision set detect(..., level) gives on these p-values with
-        this pi0."""
-        return _plug_in_step_up(self.pvalues, self.order, self.pi0, level)
+        """The step-up rule at min(level/pi0, 1): reject the k_hat smallest
+        p-values, k_hat = max{k : p_(k) <= min(level/pi0, 1) k/n}, ties
+        together.  level must lie in [0, 1); level 0 rejects nothing, not
+        even p = 0."""
+        if not (0.0 <= level < 1.0):
+            raise DataError("q must lie in [0, 1)")
+        n = self.pvalues.size
+        if level == 0.0:
+            return np.zeros(n, dtype=bool)
+        ps = self.pvalues[self.order]
+        passing = np.nonzero(ps <= min(level / self.pi0, 1.0)
+                             * np.arange(1, n + 1) / n)[0]
+        if not passing.size:
+            return np.zeros(n, dtype=bool)
+        return self.pvalues <= ps[passing[-1]]
 
 
-def _plug_in_step_up(p: np.ndarray, order: np.ndarray, pi0: float,
-                     level: float) -> np.ndarray:
-    """Step-up decisions at min(level/pi0, 1); level 0 rejects nothing,
-    not even p = 0."""
-    if not (0.0 <= level < 1.0):
-        raise DataError("q must lie in [0, 1)")
-    if level == 0.0:
-        return np.zeros(p.size, dtype=bool)
-    return _step_up(p, order, min(level / pi0, 1.0))
-
-
-def _step_up(p: np.ndarray, order: np.ndarray, level: float) -> np.ndarray:
-    """Reject the k_hat smallest p-values (ties together) at `level`."""
-    n = p.size
-    ps = p[order]
-    passing = np.nonzero(ps <= level * np.arange(1, n + 1) / n)[0]
-    if not passing.size:
-        return np.zeros(n, dtype=bool)
-    return p <= ps[passing[-1]]
-
-
-def _qvalues(p: np.ndarray, order: np.ndarray, pi0: float) -> np.ndarray:
+def _decide(p: np.ndarray, pi0: float, q: float) -> DetectionResult:
+    """The one decision path: sort p once, q-values with pi0, and the
+    step-up decision at q (see `DetectionResult.detected_at`)."""
     if not (0.0 < pi0 <= 1.0):
         raise DataError("pi0 must lie in (0, 1]")
+    order = np.argsort(p, kind="stable")
     n = p.size
     raw = pi0 * p[order] * n / np.arange(1, n + 1)
-    q = np.minimum.accumulate(raw[::-1])[::-1]
-    out = np.empty(n)
-    out[order] = np.minimum(q, 1.0)
-    return out
+    qv = np.empty(n)
+    qv[order] = np.minimum(np.minimum.accumulate(raw[::-1])[::-1], 1.0)
+    return DetectionResult(p, qv, q, pi0, order)
 
 
 def bh_reject(pvalues, q: float) -> DetectionResult:
-    """Step-up procedure at level q: reject the k_hat smallest p-values,
-    k_hat = max{k : p_(k) <= q*k/n} (with p_(0) = 0, so k_hat may be 0).
+    """Step-up procedure at level q in [0, 1): reject the k_hat smallest
+    p-values, k_hat = max{k : p_(k) <= q*k/n} (with p_(0) = 0, so k_hat may
+    be 0).  q = 0 rejects nothing, as in `detect`.
 
     Tied p-values are rejected or kept together.  This is the plain
     procedure: q-values in the result and its `detected_at` use pi0 = 1.
@@ -75,20 +74,15 @@ def bh_reject(pvalues, q: float) -> DetectionResult:
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DataError("pvalues must be a non-empty 1-d vector")
-    if not (0.0 <= q <= 1.0):
-        raise DataError("q must lie in [0, 1]")
-    order = np.argsort(p, kind="stable")
-    detected = _step_up(p, order, q)
-    return DetectionResult(p, _qvalues(p, order, 1.0), detected,
-                           int(np.count_nonzero(detected)), q, 1.0, order)
+    return _decide(p, 1.0, q)
 
 
 def qvalues(pvalues, pi0: float = 1.0) -> np.ndarray:
     """Smallest control level at which each p-value would be rejected:
     running minimum (from the largest p downward) of pi0 * p_(k) * n / k,
-    clipped to [0, 1]."""
-    p = np.asarray(pvalues, dtype=float)
-    return _qvalues(p, np.argsort(p, kind="stable"), pi0)
+    clipped to [0, 1].  A q-value of 0 is an infimum: level 0 rejects
+    nothing."""
+    return _decide(np.asarray(pvalues, dtype=float), pi0, 0.0).qvalues
 
 
 def storey_pi0(pvalues, zeta) -> float:
@@ -139,7 +133,4 @@ def detect(model: NullModel, field: TestField, q: float,
         pi0 = 1.0
     else:
         raise DataError(f"unknown pi0_mode {pi0_mode!r}")
-    order = np.argsort(p, kind="stable")
-    detected = _plug_in_step_up(p, order, pi0, q)
-    return DetectionResult(p, _qvalues(p, order, pi0), detected,
-                           int(np.count_nonzero(detected)), q, pi0, order)
+    return _decide(p, pi0, q)

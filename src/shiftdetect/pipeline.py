@@ -91,7 +91,8 @@ def gaussian_fsf(size: int, sigma: float) -> FsfKernel:
 @dataclass(frozen=True)
 class RegionSpec:
     """Spatial-spectral neighborhood: a test window inside a larger
-    null-fit window, both centered on the same (pixel, band) position."""
+    null-fit window, both centered on the same (pixel, band) position;
+    `box(half_width)` and `box(fit_half_width)` are their slices."""
 
     center_y: int
     center_x: int
@@ -111,12 +112,6 @@ class RegionSpec:
         y, x, b = self.center_y, self.center_x, self.center_band
         return (slice(y - half, y + half), slice(x - half, x + half),
                 slice(b - self.half_bands, b + self.half_bands))
-
-    def test_slices(self):
-        return self.box(self.half_width)
-
-    def fit_slices(self):
-        return self.box(self.fit_half_width)
 
 
 def _check_window(shape, slices) -> None:
@@ -230,19 +225,22 @@ def load_cube_csvdir(dirpath, window=None) -> Cube:
                                 for key in ("band_origin", "has_variance"))
     except (KeyError, ValueError) as exc:
         raise DataError(f"{dirpath}: bad metadata ({exc})") from None
-    data = np.empty((n_y, n_x, l))
-    variance = np.empty((n_y, n_x, l)) if has_variance else None
+    blocks = {"band": np.empty((n_y, n_x, l))}
+    if has_variance:
+        blocks["variance"] = np.empty((n_y, n_x, l))
     for b in range(l):
-        band = np.loadtxt(os.path.join(dirpath, f"band{b:04d}.csv"),
-                          delimiter=",", ndmin=2)
-        if band.shape != (n_y, n_x):
-            raise DataError(f"{dirpath}: band {b} has shape {band.shape}")
-        data[:, :, b] = band
-        if variance is not None:
-            variance[:, :, b] = np.loadtxt(
-                os.path.join(dirpath, f"variance{b:04d}.csv"),
-                delimiter=",", ndmin=2)
-    cube = Cube(data=data, variance=variance, band_origin=origin)
+        for stem, block in blocks.items():
+            path = os.path.join(dirpath, f"{stem}{b:04d}.csv")
+            try:
+                values = np.loadtxt(path, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}") from None
+            if values.shape != (n_y, n_x):
+                raise DataError(f"{path}: shape {values.shape}, expected "
+                                f"{(n_y, n_x)}")
+            block[:, :, b] = values
+    cube = Cube(data=blocks["band"], variance=blocks.get("variance"),
+                band_origin=origin)
     cube = cube if window is None else extract(cube, window)
     _check_nan_policy(cube)
     return cube
@@ -317,45 +315,31 @@ def preprocess(cube: Cube, fsf: Optional[FsfKernel] = None,
 # reference estimation and detection
 
 
-def _brightest_pixels(cube: Cube, region: RegionSpec,
-                      n_center_pixels: int):
-    """Test-window subcube, its (pixels, bands) spectra and the flat indices
-    of its n brightest pixels: summed flux over the spectral window, masked
-    pixels last, ties broken by row-major order."""
-    if n_center_pixels < 1:
-        raise DataError("n_center_pixels must be >= 1")
-    sub = extract(cube, region.test_slices())
-    flat = sub.data.reshape(-1, sub.shape[2])
-    flux = np.where(np.isnan(flat).any(axis=1), -np.inf, flat.sum(axis=1))
-    return sub, flat, np.argsort(-flux, kind="stable")[:n_center_pixels]
-
-
 def estimate_reference(cube: Cube, region: RegionSpec,
-                       n_center_pixels: int = 5) -> ReferenceAtom:
+                       n_center_pixels: int = 5) -> tuple:
     """Average the spectra of the brightest pixels of the test window.
 
-    Brightness is summed flux over the spectral window; ties break by
-    row-major pixel order.  The average is l2-normalized and centered on
-    the window's middle band.
+    Brightness is summed flux over the spectral window, masked pixels last;
+    ties break by row-major pixel order.  Returns the average, l2-normalized
+    and centered on the window's middle band, and the boolean map (test-
+    window grid) of the pixels averaged into it.  Those pixels stay in the
+    tested set but trivially match the dictionary they defined, so output
+    maps flag them.
     """
-    _, flat, order = _brightest_pixels(cube, region, n_center_pixels)
+    if n_center_pixels < 1:
+        raise DataError("n_center_pixels must be >= 1")
+    sub = extract(cube, region.box(region.half_width))
+    flat = sub.data.reshape(-1, sub.shape[2])
+    flux = np.where(np.isnan(flat).any(axis=1), -np.inf, flat.sum(axis=1))
+    order = np.argsort(-flux, kind="stable")[:n_center_pixels]
     spectra = flat[order]
     if np.isnan(spectra).any():
         raise DataError("not enough unmasked pixels for the reference")
-    mean = spectra.mean(axis=0)
-    return ReferenceAtom(mean, center_band=region.half_bands,
-                         allow_negative=True)
-
-
-def reference_pixel_mask(cube: Cube, region: RegionSpec,
-                         n_center_pixels: int = 5) -> np.ndarray:
-    """Boolean map (test-window grid) of the pixels averaged into the
-    reference spectrum.  These pixels stay in the tested set but trivially
-    match the dictionary they defined, so output maps flag them."""
-    sub, flat, order = _brightest_pixels(cube, region, n_center_pixels)
     mask = np.zeros(flat.shape[0], dtype=bool)
     mask[order] = True
-    return mask.reshape(sub.shape[0], sub.shape[1])
+    return (ReferenceAtom(spectra.mean(axis=0), center_band=region.half_bands,
+                          allow_negative=True),
+            mask.reshape(sub.shape[:2]))
 
 
 @dataclass(frozen=True)
@@ -383,25 +367,29 @@ def fit_region(cube: Cube, region: RegionSpec,
                kind: SimilarityKind = SimilarityKind.SPECTRAL_ANGLE,
                dictionary: Optional[Dictionary] = None,
                model: Optional[NullModel] = None) -> tuple:
-    """The (dictionary, null model) pair of one neighborhood, each built
-    here unless supplied.
+    """The (dictionary, null model, reference-pixel map) of one
+    neighborhood, the first two built here unless supplied.
 
     The dictionary comes from the reference spectrum estimated on the test
-    window; the null is fitted on the statistics of the extended fit window.
-    A supplied null needs the dictionary it was fitted under.
+    window, and the map flags the pixels averaged into it (None for a
+    supplied dictionary); the null is fitted on the statistics of the
+    extended fit window.  A supplied null needs the dictionary it was
+    fitted under.
     """
     if model is not None and dictionary is None:
         raise DataError("a saved null model needs its dictionary: pass the "
                         "one saved by null-fit --out-dict")
+    ref_mask = None
     if dictionary is None:
-        reference = estimate_reference(cube, region,
-                                       dict_params.n_center_pixels)
+        reference, ref_mask = estimate_reference(
+            cube, region, dict_params.n_center_pixels)
         dictionary = build_lss(reference, dict_params.m, dict_params.tau,
                                dict_params.mode, gram_tol=GRAM_TOL)
     if model is None:
-        model = fit_null(compute_field(extract(cube, region.fit_slices()),
-                                       dictionary, kind))
-    return dictionary, model
+        model = fit_null(compute_field(
+            extract(cube, region.box(region.fit_half_width)), dictionary,
+            kind))
+    return dictionary, model, ref_mask
 
 
 def run_detection(cube: Cube, region: RegionSpec,
@@ -422,13 +410,9 @@ def run_detection(cube: Cube, region: RegionSpec,
     reference was estimated here) a flag map of the pixels that defined it.
     Every map comes from one decision on the test field.
     """
-    ref_mask = None
-    if dictionary is None:
-        ref_mask = reference_pixel_mask(cube, region,
-                                        dict_params.n_center_pixels)
-    dictionary, model = fit_region(cube, region, dict_params, kind,
-                                   dictionary, model)
-    test_field = compute_field(extract(cube, region.test_slices()),
+    dictionary, model, ref_mask = fit_region(cube, region, dict_params,
+                                             kind, dictionary, model)
+    test_field = compute_field(extract(cube, region.box(region.half_width)),
                                dictionary, kind)
     result = detect(model, test_field, q, pi0_mode, zeta)
     maps = {

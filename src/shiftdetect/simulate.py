@@ -324,8 +324,8 @@ def _derived_seed(*key) -> np.random.SeedSequence:
 def _sweep_replicate(task):
     """One (snr, replicate) cell of the FDR sweep; module-level so worker
     processes can pickle it."""
-    (dictionary, noise, pi0, kernel, kind, signal_atom, seed, snr_idx,
-     snr_db, rep, fit_shape, test_shape, q_list) = task
+    (dictionary, noise, pi0, kernel, kind, seed, snr_idx, snr_db, rep,
+     fit_shape, test_shape, q_list) = task
     # the SNR axis normalizes by each cube's own pixel count, so passing
     # the same value gives fit and test cubes the same per-pixel
     # amplitude law
@@ -333,7 +333,8 @@ def _sweep_replicate(task):
         n_y=fit_shape[0], n_x=fit_shape[1], l=dictionary.length,
         noise=noise, dictionary=dictionary, pi0=pi0,
         seed=_derived_seed(seed, snr_idx, rep, 0),
-        spatial_kernel=kernel, signal_atom=signal_atom, target_snr=snr_db)
+        spatial_kernel=kernel, signal_atom=dictionary.m // 2,
+        target_snr=snr_db)
     test_cfg = replace(fit_cfg, n_y=test_shape[0], n_x=test_shape[1],
                        seed=_derived_seed(seed, snr_idx, rep, 1))
     fit_cube, _ = generate(fit_cfg)
@@ -355,27 +356,26 @@ def _sweep_replicate(task):
 def fdr_snr_sweep(dictionary: Dictionary, snr_list, q_list, runs: int,
                   seed: int = 0, test_shape=(51, 51), fit_shape=(200, 200),
                   noise: NoiseSpec = NoiseSpec("student", nu=5.0),
-                  pi0: float = 0.81, kernel=None,
+                  pi0: float = 0.81,
+                  kernel: Optional[np.ndarray] = uniform_kernel(3),
                   kind: SimilarityKind = SimilarityKind.SPECTRAL_ANGLE,
-                  signal_atom: Optional[int] = None, threads: int = 1):
+                  threads: int = 1):
     """Empirical FDR and power on spatially convolved cubes across a grid
     of nominal levels and signal strengths.
 
-    The null model is refit per replicate on an extended cube drawn from
-    the same contaminated process, then applied to the test cube; all
-    nominal levels share each replicate.  Replicates draw their seeds from
-    (seed, snr-index, replicate) so results are identical whether run
-    serially or on a worker pool.  Returns (records, aggregate): per-run
-    dicts and mean FDR / power keyed by (snr, q).
+    Every contaminated pixel carries the central atom (index m // 2).  The
+    cubes are convolved with `kernel`, uniform 3x3 unless given; None
+    leaves them unsmoothed.  The null model is refit per replicate on an
+    extended cube drawn from the same contaminated process, then applied to
+    the test cube; all nominal levels share each replicate.  Replicates
+    draw their seeds from (seed, snr-index, replicate) so results are
+    identical whether run serially or on a worker pool.  Returns (records,
+    aggregate): per-run dicts and mean FDR / power keyed by (snr, q).
     """
     if runs < 1:
         raise DataError(f"runs must be >= 1, got {runs}")
-    if kernel is None:
-        kernel = uniform_kernel(3)
-    if signal_atom is None:
-        signal_atom = dictionary.m // 2
-    tasks = [(dictionary, noise, pi0, kernel, kind, signal_atom, seed,
-              snr_idx, snr_db, rep, fit_shape, test_shape, tuple(q_list))
+    tasks = [(dictionary, noise, pi0, kernel, kind, seed, snr_idx, snr_db,
+              rep, fit_shape, test_shape, tuple(q_list))
              for snr_idx, snr_db in enumerate(snr_list)
              for rep in range(runs)]
     if threads > 1:
@@ -402,33 +402,31 @@ def _mean_fdr_power(records, key: str, groups, q_list) -> dict:
 
 
 def glr_contrast(dictionary: Dictionary, noise: NoiseSpec, q_list,
-                 runs: int = 200, seed: int = 0, shape=(50, 50),
-                 fit_shape=(200, 200), pi0: float = 0.97,
-                 amplitude_range=(8.0, 12.0),
-                 calibration_runs: int = 10 ** 4):
+                 runs: int = 200, seed: int = 0):
     """Head-to-head FDR/power of the empirical-null max test versus a
     Gaussian-calibrated GLR baseline on the same cubes.
 
-    The GLR is calibrated once per dictionary by Monte-Carlo under unit
-    normal noise; its per-band noise variances are re-estimated on each
-    cube.  The max test uses the matched-filter score and fits its null on
-    an extended cube drawn from the same process (the fit-large /
-    test-small workflow).  Returns (records, aggregate) with mean FDR and
-    power per (method, q).
+    Each replicate draws a 50x50 test cube and a 200x200 fit cube with
+    pi0 = 0.97, the central atom (index m // 2) and amplitudes uniform on
+    [8, 12].  The GLR is calibrated once per dictionary by 10^4
+    Monte-Carlo draws under unit normal noise; its per-band noise
+    variances are re-estimated on each cube.  The max test uses the
+    matched-filter score and fits its null on the fit cube (the fit-large
+    / test-small workflow).  Returns (records, aggregate) with mean FDR
+    and power per (method, q).
     """
     if runs < 1:
         raise DataError(f"runs must be >= 1, got {runs}")
-    null_sample = calibrate_glr_null(dictionary, calibration_runs,
+    null_sample = calibrate_glr_null(dictionary, 10 ** 4,
                                      seed=_derived_seed(seed, 0xca1))
-    signal_atom = dictionary.m // 2
     records = []
     for rep in range(runs):
-        cfg = SimConfig(n_y=shape[0], n_x=shape[1], l=dictionary.length,
-                        noise=noise, dictionary=dictionary, pi0=pi0,
-                        amplitude_range=amplitude_range,
+        cfg = SimConfig(n_y=50, n_x=50, l=dictionary.length,
+                        noise=noise, dictionary=dictionary, pi0=0.97,
+                        amplitude_range=(8.0, 12.0),
                         seed=_derived_seed(seed, rep),
-                        signal_atom=signal_atom)
-        fit_cfg = replace(cfg, n_y=fit_shape[0], n_x=fit_shape[1],
+                        signal_atom=dictionary.m // 2)
+        fit_cfg = replace(cfg, n_y=200, n_x=200,
                           seed=_derived_seed(seed, rep, 0xf17))
         cube, truth = generate(cfg)
         fit_cube, _ = generate(fit_cfg)

@@ -40,13 +40,14 @@ class TestField:
     def n(self) -> int:
         return self.tmax.size
 
-    def to_map(self, values: np.ndarray, fill=np.nan) -> np.ndarray:
-        """Scatter per-pixel values back onto the full grid."""
+    def to_map(self, values: np.ndarray) -> np.ndarray:
+        """Scatter per-pixel values back onto the full grid; untested
+        pixels read False in a boolean map and NaN otherwise."""
         values = np.asarray(values)
         if values.dtype == bool:
             out = np.zeros(self.shape, dtype=bool)
         else:
-            out = np.full(self.shape, fill, dtype=float)
+            out = np.full(self.shape, np.nan)
         out[self.rows, self.cols] = values
         return out
 

@@ -9,7 +9,9 @@ from shiftdetect.dictionary import (Dictionary, build_lss,
 from shiftdetect.errors import DataError
 from shiftdetect.pipeline import (Cube, RegionSpec, estimate_reference,
                                   load_cube, run_detection, save_cube)
-from shiftdetect.simulate import NoiseSpec, SimConfig, generate
+from shiftdetect import simulate
+from shiftdetect.simulate import (NoiseSpec, SimConfig, generate,
+                                  uniform_kernel)
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +197,17 @@ class TestPi0Modes:
         assert np.array_equal(detected == 1, load("qvalue") <= 0.2)
 
 
+def small_csvdir(**override):
+    """Files of a 2x2x3 CSV-per-band cube with variance bands, `override`
+    replacing whole files."""
+    files = {"meta.txt": "n_y=2\nn_x=2\nl=3\nhas_variance=1\n"}
+    for b in range(3):
+        files[f"band{b:04d}.csv"] = "1,2\n3,4\n"
+        files[f"variance{b:04d}.csv"] = "1,1\n1,1\n"
+    files.update(override)
+    return files
+
+
 class TestMalformedNumbers:
     @pytest.mark.parametrize("argv, config", [
         pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "nan",
@@ -226,13 +239,24 @@ class TestMalformedNumbers:
                       "--runs", "0"], "", id="simulate-runs-0"),
         pytest.param(["glr-compare", "--runs", "0", "--out", "{out}"], None,
                      id="glr-compare-runs-0"),
+        pytest.param(["ingest", "--input", "{csvdir}", "--output", "{out}"],
+                     small_csvdir(**{"band0001.csv": "abc\n"}),
+                     id="ingest-csvdir-band-abc"),
+        pytest.param(["ingest", "--input", "{csvdir}", "--output", "{out}"],
+                     small_csvdir(**{"variance0002.csv": "1,2\n"}),
+                     id="ingest-csvdir-variance-shape"),
     ])
     def test_exits_2(self, workdir, tmp_path, argv, config):
-        conf = tmp_path / "bad.conf"
-        if config is not None:
+        """`config` is a config file's text, or the files of a CSV cube."""
+        conf, csvdir = tmp_path / "bad.conf", tmp_path / "cube"
+        if isinstance(config, dict):
+            csvdir.mkdir()
+            for name, text in config.items():
+                (csvdir / name).write_text(text)
+        elif config is not None:
             conf.write_text(config)
         paths = dict(ref=workdir / "ref.csv", cube=workdir / "raw.fdc",
-                     out=tmp_path / "out", conf=conf)
+                     out=tmp_path / "out", conf=conf, csvdir=csvdir)
         assert run(*[a.format(**paths) for a in argv]) == 2
 
 
@@ -247,7 +271,7 @@ class TestNullFitNoiseFloor:
         region = RegionSpec(center_y=30, center_x=30, center_band=17,
                             half_width=10, fit_half_width=25)
         with pytest.raises(DataError, match="non-negativity"):
-            build_lss(estimate_reference(cube, region), 15, 7.0)
+            build_lss(estimate_reference(cube, region)[0], 15, 7.0)
         window = ["--cube", tmp_path / "noise.fdc", "--center", "30,30,17",
                   "--half-width", "10", "--fit-half-width", "25"]
         assert run("null-fit", *window, "--out-model", tmp_path / "m.csv",
@@ -301,6 +325,30 @@ class TestSimulateCommand:
         assert len(agg) == 3
         runs = (workdir / "sweep" / "runs.csv").read_text().splitlines()
         assert len(runs) == 1 + 3 * 2
+
+    @pytest.mark.parametrize("line, expected", [
+        ("kernel=none\n", None), ("kernel=uniform3\n", uniform_kernel(3)),
+        ("", uniform_kernel(3))], ids=["none", "uniform3", "default"])
+    def test_kernel_reaches_generate(self, tmp_path, monkeypatch, line,
+                                     expected):
+        kernels = []
+
+        def spy(config):
+            kernels.append(config.spatial_kernel)
+            return generate(config)
+
+        monkeypatch.setattr(simulate, "generate", spy)
+        conf = tmp_path / "sim.conf"
+        conf.write_text("ny=8\nnx=8\nfit_ny=30\nfit_nx=30\nsnr_list=-10\n"
+                        "q_list=0.1\n" + line)
+        assert run("simulate", "--config", conf, "--runs", "1",
+                   "--out", tmp_path / "sweep") == 0
+        assert len(kernels) == 2  # fit cube and test cube
+        for kernel in kernels:
+            if expected is None:
+                assert kernel is None
+            else:
+                assert np.array_equal(kernel, expected)
 
     def test_bad_config_exits_2(self, workdir):
         conf = workdir / "bad.conf"

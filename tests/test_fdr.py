@@ -68,6 +68,8 @@ class TestBhReject:
             bh_reject(np.array([]), 0.1)
         with pytest.raises(DataError):
             bh_reject(np.array([0.5]), 1.5)
+        with pytest.raises(DataError):  # detect's domain: q in [0, 1)
+            bh_reject(np.array([0.5]), 1.0)
 
 
 class TestQvalues:
@@ -238,3 +240,30 @@ class TestDecisionsFromOneSort:
             assert np.array_equal(result.detected_at(level), fresh.detected)
             assert np.array_equal(fresh.detected, scan)
             assert np.array_equal(fresh.qvalues, result.qvalues)
+
+
+# quantised p-values c/d, as empirical p-values are: ties and exact zeros
+quantised_p = st.integers(1, 12).flatmap(lambda d: st.lists(
+    st.integers(0, d).map(lambda c: c / d), min_size=1, max_size=40))
+
+
+class TestOneStepUpRule:
+    @settings(max_examples=500, deadline=None)
+    @given(p=quantised_p, q=levels, pi0=st.floats(0.05, 1.0))
+    def test_bh_reject_detected_at_scan_and_qvalues_agree(self, p, q, pi0):
+        p = np.array(p)
+        res = bh_reject(p, q)
+        scan = (step_up_set(p, q) if q > 0
+                else np.zeros(p.size, dtype=bool))
+        assert np.array_equal(res.detected, scan)
+        assert np.array_equal(res.detected_at(q), scan)
+        assert res.k_hat == np.count_nonzero(scan)
+        if q == 0:
+            return  # a zero q-value is not rejected at level 0
+        qv = qvalues(p, pi0)
+        plug_in = step_up_set(p, min(q / pi0, 1.0))
+        # two float evaluations of one rule: they can disagree only where
+        # pi0 p_(k) n / k equals q in exact arithmetic
+        differ = (qv <= q) != plug_in
+        assert np.allclose(qv[differ], q, rtol=1e-12, atol=0), (qv, q)
+

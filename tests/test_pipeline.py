@@ -304,7 +304,7 @@ class TestRegions:
         region = RegionSpec(center_y=5, center_x=15, center_band=20,
                             half_width=10, half_bands=10, fit_half_width=12)
         with pytest.raises(DataError, match="outside"):
-            extract(cube, region.test_slices())
+            extract(cube, region.box(region.half_width))
 
     def test_nesting_validated(self):
         with pytest.raises(DataError):
@@ -315,7 +315,7 @@ class TestRegions:
         cube = random_cube(rng, shape=(30, 30, 40))
         region = RegionSpec(center_y=15, center_x=15, center_band=20,
                             half_width=5, half_bands=10, fit_half_width=15)
-        sub = extract(cube, region.test_slices())
+        sub = extract(cube, region.box(region.half_width))
         assert sub.shape == (10, 10, 20)
         assert sub.band_origin == 7 + 10
 
@@ -327,7 +327,8 @@ class TestEstimateReference:
         data[30, 30, :] = 4.0 * line
         region = RegionSpec(center_y=30, center_x=30, center_band=15,
                             half_width=10, half_bands=15, fit_half_width=25)
-        ref = estimate_reference(Cube(data=data), region, n_center_pixels=1)
+        ref, _ = estimate_reference(Cube(data=data), region,
+                                    n_center_pixels=1)
         assert np.allclose(ref.values, line, atol=1e-12)
 
     def test_injection_recovers_line_shape(self, gauss_reference, rng):
@@ -338,7 +339,8 @@ class TestEstimateReference:
             data[30 + dy, 30 + dx, :] += 2.0 * line
         region = RegionSpec(center_y=30, center_x=30, center_band=15,
                             half_width=10, half_bands=15, fit_half_width=25)
-        ref = estimate_reference(Cube(data=data), region, n_center_pixels=5)
+        ref, _ = estimate_reference(Cube(data=data), region,
+                                    n_center_pixels=5)
         cos = float(ref.values @ line)
         assert cos > 0.99
 
@@ -347,9 +349,14 @@ class TestEstimateReference:
         region = RegionSpec(center_y=5, center_x=5, center_band=15,
                             half_width=4, half_bands=15, fit_half_width=5)
         # all pixels equal: the reference is still deterministic
-        r1 = estimate_reference(Cube(data=data), region, n_center_pixels=5)
-        r2 = estimate_reference(Cube(data=data), region, n_center_pixels=5)
+        r1, m1 = estimate_reference(Cube(data=data), region,
+                                    n_center_pixels=5)
+        r2, m2 = estimate_reference(Cube(data=data), region,
+                                    n_center_pixels=5)
         assert np.array_equal(r1.values, r2.values)
+        # the first five pixels in row-major order
+        assert np.array_equal(np.flatnonzero(m1), np.arange(5))
+        assert np.array_equal(m1, m2)
 
 
 def synthetic_halo_cube(line_dictionary, seed, amplitude=1.2):
@@ -442,7 +449,15 @@ class TestRunDetection:
                             half_width=25, half_bands=15, fit_half_width=100)
         out = run_detection(cube, region, q=0.2)
         flags = out.maps["reference_pixels"]
-        assert flags.sum() == 5
+        assert flags.sum() == DictionaryParams().n_center_pixels
+        # the flagged pixels are the ones averaged into the reference
+        ref, averaged = estimate_reference(cube, region)
+        assert np.array_equal(flags, averaged)
+        assert np.array_equal(out.dictionary.reference.values, ref.values)
+        spectra = extract(cube, region.box(region.half_width)).data[flags]
+        mean = spectra.mean(axis=0)
+        assert np.allclose(ref.values, mean / np.linalg.norm(mean),
+                           atol=1e-12)
         # the reference pixels sit on the bright core at the window center
         rows, cols = np.nonzero(flags)
         assert np.all(np.abs(rows - 25) <= 3)
