@@ -25,7 +25,7 @@ for u in (0.0, 1.0, 2.0, 4.0, 8.0):
 print("\ndictionaries over [-8, +8] bands:")
 print(f"{'m':>4} {'grid step':>10} {'coherence':>10} {'gain (a=2.7)':>13}")
 for m in (2, 3, 5, 9, 15, 20):
-    d = build_lss(reference, m, 8.0, "continuous")
+    d = build_lss(reference, m, 8.0)
     step = 16.0 / (m - 1)
     gain = expected_max_gain(reference, m, 8.0, amplitude=2.7)
     print(f"{m:>4} {step:>10.2f} {d.coherence:>10.3f} {gain:>13.3f}")
@@ -40,6 +40,6 @@ than it would for orthogonal atoms.
 """)
 
 # the instrument-resolution case: whole-band shifts only
-whole_band = build_lss(reference, 15, 7.0, "integer")
+whole_band = build_lss(reference, 15, 7.0)
 print(f"whole-band dictionary: m=15, tau=7, coherence "
       f"{whole_band.coherence:.3f}, shifts {whole_band.shifts[:4]} ...")

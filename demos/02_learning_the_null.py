@@ -17,7 +17,7 @@ from shiftdetect import (NoiseSpec, SimConfig, SimilarityKind, build_lss,
                          gaussian_line_reference, generate, null_cdf)
 
 reference = gaussian_line_reference(30, 15, 5.0)
-dictionary = build_lss(reference, 15, 7.0, "integer")
+dictionary = build_lss(reference, 15, 7.0)
 
 # 2500 pixels of heavy-tailed noise, 19% of them carrying a weak line of
 # random amplitude in [0.1, 3]

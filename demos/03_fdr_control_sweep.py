@@ -14,7 +14,7 @@ Run:  python demos/03_fdr_control_sweep.py          (about a minute)
 from shiftdetect import build_lss, fdr_snr_sweep, gaussian_line_reference
 
 reference = gaussian_line_reference(30, 15, 5.0)
-dictionary = build_lss(reference, 15, 7.0, "integer")
+dictionary = build_lss(reference, 15, 7.0)
 
 q_list = (0.05, 0.1, 0.2)
 snr_list = (-20.0, -14.0, -8.0)

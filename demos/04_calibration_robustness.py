@@ -15,7 +15,7 @@ from shiftdetect import (NoiseSpec, build_lss, gaussian_line_reference,
                          glr_contrast)
 
 reference = gaussian_line_reference(30, 15, 5.0)
-dictionary = build_lss(reference, 15, 7.0, "integer")
+dictionary = build_lss(reference, 15, 7.0)
 q_list = (0.05, 0.1, 0.2)
 runs = 60  # the acceptance suite uses 200
 

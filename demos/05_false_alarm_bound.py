@@ -23,7 +23,7 @@ reference = gaussian_line_reference(30, 15, 5.0)
 alpha = 0.05
 
 print("bound versus simulated truth (m=15, tau=7, eta=2.2):")
-d15 = build_lss(reference, 15, 7.0, "integer")
+d15 = build_lss(reference, 15, 7.0)
 rng = np.random.default_rng(0)
 L = np.linalg.cholesky(d15.gram() + 1e-12 * np.eye(15))
 z = rng.standard_normal((10 ** 6, 15)) @ L.T
@@ -34,7 +34,7 @@ print(f"  Monte-Carlo alpha = {mc:.4f}   bound = {pfa_bound(d15, 2.2):.4f}"
 print(f"\nthresholds at alpha = {alpha} over the interval [-8, +8]:")
 print(f"{'m':>4} {'bound eta_m':>12} {'orthogonal eta_m':>17}")
 for m in (2, 5, 10, 15, 20):
-    d = build_lss(reference, m, 8.0, "continuous")
+    d = build_lss(reference, m, 8.0)
     eta = threshold_for_pfa(d, alpha)
     orth = float(ndtri((1 - alpha) ** (1 / m)))
     print(f"{m:>4} {eta:>12.4f} {orth:>17.4f}")

@@ -18,7 +18,7 @@ from shiftdetect import (Cube, NoiseSpec, RegionSpec, SimConfig, build_lss,
                          run_detection, write_maps)
 
 reference = gaussian_line_reference(30, 15, 5.0)
-dictionary = build_lss(reference, 15, 7.0, "integer")
+dictionary = build_lss(reference, 15, 7.0)
 
 # background: 240x240x30 unit Gaussian noise
 background, _ = generate(SimConfig(n_y=240, n_x=240, l=30,

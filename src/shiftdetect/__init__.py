@@ -7,8 +7,7 @@ and controls the false discovery rate of the decision map.
 """
 
 from .dictionary import (Dictionary, GaussianLineModel, ReferenceAtom,
-                         SampledLineModel, autocorrelation, build_lss,
-                         expected_max_gain, gaussian_line_model,
+                         autocorrelation, build_lss, expected_max_gain,
                          gaussian_line_reference, lss_shift_grid)
 from .errors import DataError, NumericError
 from .fdr import DetectionResult, bh_reject, detect, qvalues, storey_pi0
@@ -31,14 +30,15 @@ from .teststat import TestField, compute_field
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cube", "DataError", "GaussianLineModel", "SampledLineModel", "DetectionOutput", "DetectionResult", "Dictionary",
+    "Cube", "DataError", "GaussianLineModel", "DetectionOutput",
+    "DetectionResult", "Dictionary",
     "DictionaryParams", "FsfKernel", "GroundTruth",
     "Metrics", "NoiseSpec", "NullModel", "NumericError", "ReferenceAtom",
     "RegionSpec", "SimConfig", "SimilarityKind", "TestField",
     "autocorrelation", "bh_reject", "build_lss", "calibrate_glr_null",
     "compute_field", "detect", "disk_mask", "empirical_pvalues",
     "estimate_reference", "expected_max_gain", "extract", "fdr_snr_sweep",
-    "fit_null", "gaussian_fsf", "gaussian_line_model",
+    "fit_null", "gaussian_fsf",
     "gaussian_line_reference", "generate", "glr_contrast", "glr_field",
     "glr_pvalues", "load_cube", "load_cube_csvdir",
     "lss_shift_grid", "normal_cdf_2d", "normal_cdf_3d", "null_cdf",

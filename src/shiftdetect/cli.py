@@ -15,9 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dictionary import (Dictionary, ReferenceAtom, SampledLineModel,
-                         build_lss, expected_max_gain,
-                         gaussian_line_reference)
+from .dictionary import (Dictionary, ReferenceAtom, build_lss,
+                         expected_max_gain, gaussian_line_reference)
 from .errors import DataError, NumericError
 from .nullmodel import NullModel
 from .pfabound import threshold_for_pfa_orthogonal, threshold_table
@@ -77,14 +76,11 @@ def _load_reference(path, center_band) -> ReferenceAtom:
         values = np.loadtxt(path, delimiter=",").ravel()
     except OSError as exc:
         raise DataError(f"cannot read reference {path}: {exc}") from exc
-    if center_band is None:
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed number ({exc})") from None
+    if center_band is None and values.size:
         center_band = int(np.argmax(values))
-    ref = ReferenceAtom(values, center_band=center_band,
-                        allow_negative=bool(np.any(values < 0)))
-    # fractional-shift analysis on a sampled reference uses the canonical
-    # piecewise-linear model through its samples
-    return dataclasses.replace(ref,
-                               model=SampledLineModel.from_reference(ref))
+    return ReferenceAtom(values, center_band=center_band)
 
 
 def _build_fsf(spec) -> FsfKernel:
@@ -110,7 +106,7 @@ def _fit_inputs(args) -> tuple:
     region = RegionSpec(center_y=cy, center_x=cx, center_band=cb,
                         half_width=args.half_width, half_bands=args.half_bands,
                         fit_half_width=args.fit_half_width)
-    params = DictionaryParams(m=args.m, tau=args.tau, mode=args.mode,
+    params = DictionaryParams(m=args.m, tau=args.tau,
                               n_center_pixels=args.center_pixels)
     half = region.half_width if getattr(args, "model", None) \
         and args.dict_in else region.fit_half_width
@@ -133,8 +129,6 @@ def _add_fit_args(sub):
                      default=RegionSpec.fit_half_width)
     sub.add_argument("--m", type=int, default=DictionaryParams.m)
     sub.add_argument("--tau", type=float, default=DictionaryParams.tau)
-    sub.add_argument("--mode", default=DictionaryParams.mode,
-                     choices=["integer", "continuous"])
     sub.add_argument("--center-pixels", type=int,
                      default=DictionaryParams.n_center_pixels)
     sub.add_argument("--dict-in", default=None,
@@ -196,9 +190,7 @@ def cmd_simulate(args) -> int:
     ref = gaussian_line_reference(l, get("ref_center", l // 2, int),
                                   get("ref_fwhm", 5.0, float),
                                   get("ref_trunc", 6.0, float))
-    mode = conf.get("mode", "integer")
-    dictionary = build_lss(ref, get("m", 15, int), get("tau", 7.0, float),
-                           mode)
+    dictionary = build_lss(ref, get("m", 15, int), get("tau", 7.0, float))
     family = conf.get("noise", "student")
     noise = NoiseSpec(family=family, sigma=get("sigma", 1.0, float),
                       nu=get("nu", 5.0, float))
@@ -247,7 +239,7 @@ def cmd_pfa_bound(args) -> int:
     ms, build_error = [], None
     for m in range(m_lo, m_hi + 1):
         try:
-            build_lss(reference, m, args.tau if m > 1 else 0.0, "continuous")
+            build_lss(reference, m, args.tau if m > 1 else 0.0)
         except DataError as exc:
             build_error = exc
             break
@@ -268,7 +260,7 @@ def cmd_pfa_bound(args) -> int:
 def cmd_glr_compare(args) -> int:
     l = args.l
     ref = gaussian_line_reference(l, l // 2, args.ref_fwhm)
-    dictionary = build_lss(ref, args.m, args.tau, "integer")
+    dictionary = build_lss(ref, args.m, args.tau)
     noise = NoiseSpec(family=args.noise, nu=args.nu)
     q_list = _parse_floats(args.q_grid, "--q-grid")
     _, aggregate = glr_contrast(dictionary, noise, q_list, runs=args.runs,
@@ -353,6 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_glr_compare)
 
+    # a retired option must not pass for a prefix of a live one
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 

@@ -1,10 +1,9 @@
 """Shift dictionaries built from a single reference line profile.
 
 A dictionary holds m unit-norm copies of one reference atom, displaced on a
-linearly spaced grid of spectral shifts covering [-tau, tau].  Shifting is
-either a pure index roll (no interpolation; appropriate when the shift grid
-falls on whole bands) or a resampling of a continuous line model (for
-fractional shifts in idealized studies).
+linearly spaced grid of spectral shifts covering [-tau, tau].  The grid
+decides how an atom is made: a whole-band shift rolls the samples, a
+fractional shift resamples the reference's line profile.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ import numpy as np
 from .errors import DataError
 
 NORM_TOL = 1e-12
-
-# Shift modes accepted by build_lss.
-MODE_INTEGER = "integer"
-MODE_CONTINUOUS = "continuous"
 
 _INT_SHIFT_TOL = 1e-9
 
@@ -42,41 +37,14 @@ class GaussianLineModel:
         return np.where(np.abs(u) <= self.trunc_halfwidth, out, 0.0)
 
 
-def gaussian_line_model(fwhm: float,
-                        trunc_halfwidth: float = 6.0) -> GaussianLineModel:
-    """Gaussian line model from its full width at half maximum:
-    sigma = fwhm / (2 sqrt(2 ln 2))."""
+def gaussian_line_reference(length: int, center_band: int, fwhm: float,
+                            trunc_halfwidth: float = 6.0) -> "ReferenceAtom":
+    """Reference atom sampled from a truncated Gaussian line profile of the
+    given full width at half maximum: sigma = fwhm / (2 sqrt(2 ln 2))."""
     if fwhm <= 0:
         raise DataError("fwhm must be positive")
     sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    return GaussianLineModel(sigma=sigma, trunc_halfwidth=trunc_halfwidth)
-
-
-@dataclass(frozen=True)
-class SampledLineModel:
-    """Piecewise-linear continuous model through a sampled profile, zero
-    outside the sampled support.  The canonical continuous model to attach
-    when only samples of the line are available (e.g. a reference read from
-    CSV) and fractional-shift analysis is still wanted."""
-
-    offsets: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, u):
-        return np.interp(np.asarray(u, dtype=float), self.offsets,
-                         self.values, left=0.0, right=0.0)
-
-    @classmethod
-    def from_reference(cls, reference: "ReferenceAtom") -> "SampledLineModel":
-        grid = np.arange(reference.length, dtype=float) \
-            - reference.center_band
-        return cls(offsets=grid, values=reference.values.copy())
-
-
-def gaussian_line_reference(length: int, center_band: int, fwhm: float,
-                            trunc_halfwidth: float = 6.0) -> "ReferenceAtom":
-    """Reference atom sampled from a truncated Gaussian line profile."""
-    model = gaussian_line_model(fwhm, trunc_halfwidth)
+    model = GaussianLineModel(sigma=sigma, trunc_halfwidth=trunc_halfwidth)
     values = model(np.arange(length, dtype=float) - center_band)
     return ReferenceAtom(values, center_band, model=model)
 
@@ -88,25 +56,21 @@ class ReferenceAtom:
     Parameters
     ----------
     values : array, shape (l,)
-        Sampled profile; normalized on construction.
+        Sampled profile; normalized on construction.  Negative samples are
+        allowed; `build_lss` checks that the shifted atoms still have
+        non-negative inner products.
     center_band : int
         Band index of the line center within `values`.
     model : callable, optional
         Continuous profile f(u) of the band offset u from the line center,
-        with values[j] = f(j - center_band).  Required to generate atoms at
-        fractional shifts; when absent, fractional-shift *evaluation* (for
-        autocorrelation-type quantities only) falls back to a linear
-        interpolant of the samples with zero padding.
-    allow_negative : bool
-        Permit negative sample values.  Dictionaries built from such a
-        reference must still have pairwise non-negative atom inner products;
-        this is checked at build time.
+        with values[j] = f(j - center_band), resampled at fractional
+        shifts.  When absent the profile is the piecewise-linear
+        interpolant of the samples, zero outside the sampled support.
     """
 
     values: np.ndarray
     center_band: int
     model: Optional[Callable] = None
-    allow_negative: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -114,9 +78,6 @@ class ReferenceAtom:
             raise DataError("reference must be a 1-d vector of length >= 2")
         if not np.all(np.isfinite(values)):
             raise DataError("reference contains non-finite values")
-        if not self.allow_negative and np.any(values < -NORM_TOL):
-            raise DataError("reference has negative entries; "
-                            "pass allow_negative=True to relax")
         norm = np.linalg.norm(values)
         if norm <= 0:
             raise DataError("reference has zero norm")
@@ -131,9 +92,8 @@ class ReferenceAtom:
     def sampled_shift(self, shift: float) -> np.ndarray:
         """Zero-padded shifted copy of the profile (not renormalized).
 
-        Whole-band shifts are exact index rolls of the stored samples.
-        Fractional shifts resample the continuous model when one is
-        available, otherwise a linear interpolant of the samples.
+        Whole-band shifts are exact index rolls of the stored samples;
+        fractional shifts resample the line profile (see `model`).
         """
         l = self.length
         nearest = round(float(shift))
@@ -146,34 +106,25 @@ class ReferenceAtom:
                 else:
                     out[:l + s] = self.values[-s:]
             return out
-        offsets = np.arange(l, dtype=float) - self.center_band - float(shift)
-        if self.model is not None:
-            out = np.asarray(self.model(offsets), dtype=float)
-            # rescale so the model agrees with the stored unit-norm samples
-            base = np.asarray(self.model(np.arange(l, dtype=float)
-                                         - self.center_band), dtype=float)
-            base_norm = np.linalg.norm(base)
-            if base_norm <= 0:
-                raise DataError("continuous model vanishes on the support")
-            return out / base_norm
         grid = np.arange(l, dtype=float) - self.center_band
-        return np.interp(offsets, grid, self.values, left=0.0, right=0.0)
+        profile = self.model if self.model is not None else (
+            lambda u: np.interp(u, grid, self.values, left=0.0, right=0.0))
+        # rescale so the profile agrees with the stored unit-norm samples
+        base_norm = np.linalg.norm(np.asarray(profile(grid), dtype=float))
+        if base_norm <= 0:
+            raise DataError("line profile vanishes on the support")
+        return np.asarray(profile(grid - float(shift)), dtype=float) \
+            / base_norm
 
 
 @dataclass(frozen=True)
 class Dictionary:
-    """m unit-norm shifted atoms plus their shift grid and coherence.
-
-    coherence = max over distinct atom pairs of |<d_i, d_j>|; defined as 0
-    for a single-atom dictionary.
-    """
+    """m unit-norm shifted atoms plus their shift grid."""
 
     atoms: np.ndarray            # (m, l), rows unit norm
     shifts: np.ndarray           # (m,)
     tau: float
-    coherence: float
     reference: Optional[ReferenceAtom] = field(default=None, repr=False)
-    mode: str = MODE_INTEGER
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
@@ -195,6 +146,15 @@ class Dictionary:
     @property
     def length(self) -> int:
         return self.atoms.shape[1]
+
+    @property
+    def coherence(self) -> float:
+        """Max over distinct atom pairs of |<d_i, d_j>|; 0 for one atom."""
+        if self.m < 2:
+            return 0.0
+        g = np.abs(self.gram())
+        np.fill_diagonal(g, 0.0)
+        return float(g.max())
 
     def gram(self) -> np.ndarray:
         return self.atoms @ self.atoms.T
@@ -220,16 +180,7 @@ class Dictionary:
         if atoms.shape[0] != shifts.size:
             raise DataError(f"{path}: header/atom row count mismatch")
         tau = float(np.max(np.abs(shifts))) if shifts.size else 0.0
-        return cls(atoms=atoms, shifts=shifts, tau=tau,
-                   coherence=_coherence(atoms), reference=None, mode="loaded")
-
-
-def _coherence(atoms: np.ndarray) -> float:
-    if atoms.shape[0] < 2:
-        return 0.0
-    g = np.abs(atoms @ atoms.T)
-    np.fill_diagonal(g, 0.0)
-    return float(g.max())
+        return cls(atoms=atoms, shifts=shifts, tau=tau)
 
 
 def lss_shift_grid(m: int, tau: float) -> np.ndarray:
@@ -240,16 +191,15 @@ def lss_shift_grid(m: int, tau: float) -> np.ndarray:
     return -tau + 2.0 * tau * k / (m - 1)
 
 
-def build_lss(reference: ReferenceAtom, m: int, tau: float,
-              mode: str = MODE_INTEGER,
+def build_lss(reference: ReferenceAtom, m: int, tau: float, *,
               gram_tol: float = NORM_TOL) -> Dictionary:
     """Build the linearly-spaced-shift dictionary of size m over [-tau, tau].
 
-    mode "integer" rolls the sampled reference by whole bands (the shift
-    grid must then land on integers); mode "continuous" resamples the
-    reference's continuous model at fractional shifts.  Atoms pushed
-    partially off the sampled support are truncated and renormalized; an
-    atom entirely off support raises ``DataError("atom vanished")``.
+    Each atom is `reference.sampled_shift` at its grid shift: whole-band
+    shifts roll the samples, fractional ones resample the line profile.
+    Atoms pushed partially off the sampled support are truncated and
+    renormalized; an atom entirely off support raises
+    ``DataError("atom vanished")``.
 
     For a reference with negative entries the pairwise inner products of
     the shifted atoms must stay above -gram_tol.  The strict default suits
@@ -261,26 +211,13 @@ def build_lss(reference: ReferenceAtom, m: int, tau: float,
         raise DataError("m must be >= 1")
     if not (math.isfinite(tau) and tau >= 0):
         raise DataError("tau must be finite and >= 0")
-    if mode not in (MODE_INTEGER, MODE_CONTINUOUS):
-        raise DataError(f"unknown shift mode {mode!r}")
     if m == 1:
         if tau > 0:
             raise DataError("shift grid undefined for m = 1 with tau > 0")
         return Dictionary(atoms=reference.values[None, :].copy(),
-                          shifts=np.zeros(1), tau=0.0, coherence=0.0,
-                          reference=reference, mode=mode)
+                          shifts=np.zeros(1), tau=0.0, reference=reference)
 
     shifts = lss_shift_grid(m, tau)
-    fractional = np.any(np.abs(shifts - np.round(shifts)) > _INT_SHIFT_TOL)
-    if fractional and mode == MODE_INTEGER:
-        raise DataError(
-            "integer shift mode requires whole-band shifts; "
-            f"grid step 2*tau/(m-1) = {2 * tau / (m - 1):g} is fractional "
-            "(use continuous mode)")
-    if fractional and reference.model is None:
-        raise DataError("continuous mode with fractional shifts requires "
-                        "a reference with a continuous model")
-
     atoms = np.empty((m, reference.length))
     for i, s in enumerate(shifts):
         vec = reference.sampled_shift(s)
@@ -289,7 +226,7 @@ def build_lss(reference: ReferenceAtom, m: int, tau: float,
             raise DataError(f"atom vanished: shift {s:g} leaves no support")
         atoms[i] = vec / norm
 
-    if reference.allow_negative or np.any(reference.values < 0):
+    if np.any(reference.values < 0):
         gram = np.vstack([atoms, reference.values[None, :]])
         gram = gram @ gram.T
         if np.any(gram < -gram_tol):
@@ -297,8 +234,7 @@ def build_lss(reference: ReferenceAtom, m: int, tau: float,
                             "atoms have negative inner products")
 
     return Dictionary(atoms=atoms, shifts=shifts, tau=float(tau),
-                      coherence=_coherence(atoms), reference=reference,
-                      mode=mode)
+                      reference=reference)
 
 
 def autocorrelation(reference: ReferenceAtom, shift: float) -> float:

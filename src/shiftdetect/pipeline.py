@@ -225,6 +225,8 @@ def load_cube_csvdir(dirpath, window=None) -> Cube:
                                 for key in ("band_origin", "has_variance"))
     except (KeyError, ValueError) as exc:
         raise DataError(f"{dirpath}: bad metadata ({exc})") from None
+    if min(n_y, n_x, l) < 0:
+        raise DataError(f"{dirpath}: negative dimension in metadata")
     blocks = {"band": np.empty((n_y, n_x, l))}
     if has_variance:
         blocks["variance"] = np.empty((n_y, n_x, l))
@@ -337,8 +339,7 @@ def estimate_reference(cube: Cube, region: RegionSpec,
         raise DataError("not enough unmasked pixels for the reference")
     mask = np.zeros(flat.shape[0], dtype=bool)
     mask[order] = True
-    return (ReferenceAtom(spectra.mean(axis=0), center_band=region.half_bands,
-                          allow_negative=True),
+    return (ReferenceAtom(spectra.mean(axis=0), center_band=region.half_bands),
             mask.reshape(sub.shape[:2]))
 
 
@@ -349,7 +350,6 @@ class DictionaryParams:
 
     m: int = 15
     tau: float = 7.0
-    mode: str = "integer"
     n_center_pixels: int = 5
 
 
@@ -384,7 +384,7 @@ def fit_region(cube: Cube, region: RegionSpec,
         reference, ref_mask = estimate_reference(
             cube, region, dict_params.n_center_pixels)
         dictionary = build_lss(reference, dict_params.m, dict_params.tau,
-                               dict_params.mode, gram_tol=GRAM_TOL)
+                               gram_tol=GRAM_TOL)
     if model is None:
         model = fit_null(compute_field(
             extract(cube, region.box(region.fit_half_width)), dictionary,

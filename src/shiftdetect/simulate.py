@@ -79,7 +79,7 @@ class SimConfig:
 
     signal_atom selects a fixed dictionary atom for every contaminated
     pixel; None draws an independent uniform shift on [-tau, tau] per pixel
-    (which needs a reference with a continuous model).  target_snr, when
+    (which needs the dictionary's reference).  target_snr, when
     set, rescales the drawn amplitudes so the realized total signal energy
     matches 10 log10(A / (n l sigma^2)) = target_snr.
     """

@@ -14,7 +14,7 @@ def gauss_reference():
 @pytest.fixture(scope="session")
 def line_dictionary(gauss_reference):
     """The application default dictionary: 15 whole-band shifts over +-7."""
-    return build_lss(gauss_reference, 15, 7.0, "integer")
+    return build_lss(gauss_reference, 15, 7.0)
 
 
 @pytest.fixture()

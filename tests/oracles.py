@@ -4,9 +4,10 @@ checked against: `similarity` for `similarity.score_matrix`,
 array kernels of `pfabound`.  They work on one input at a time, written
 straight from the definitions or the published algorithms.
 
-`fit_null_sorted` and the `csv.writer` writers are the earlier, plainer
-forms of `nullmodel.fit_null` and of the fit-artifact writers; the faster
-library code must reproduce their results bit for bit."""
+`fit_null_sorted`, `piecewise_linear_shift` and the `csv.writer` writers
+are the earlier, plainer forms of `nullmodel.fit_null`, of the fractional
+`ReferenceAtom.sampled_shift` and of the fit-artifact writers; the library
+code must reproduce their results bit for bit."""
 
 import csv
 import math
@@ -227,6 +228,25 @@ def fit_null_sorted(field) -> NullModel:
     pooled = np.sort(np.concatenate([s0, g0]), kind="stable")
     return NullModel(mu0_hat=float(mu0), pi0_hat=min((2 * n0) / n, 1.0),
                      n0=n0, n_fit=n, pooled=pooled)
+
+
+def piecewise_linear_shift(reference, shift) -> np.ndarray:
+    """Fractional shift of a reference without a line model, through an
+    explicit piecewise-linear model of its samples (zero outside them):
+    the model at the shifted band offsets over its norm at the unshifted
+    ones."""
+    grid = np.arange(reference.length, dtype=float) - reference.center_band
+    values = reference.values.copy()
+
+    def model(u):
+        return np.interp(np.asarray(u, dtype=float), grid, values,
+                         left=0.0, right=0.0)
+
+    offsets = np.arange(reference.length, dtype=float) \
+        - reference.center_band - float(shift)
+    base = model(np.arange(reference.length, dtype=float)
+                 - reference.center_band)
+    return model(offsets) / np.linalg.norm(base)
 
 
 def write_null_csv(model, path) -> None:

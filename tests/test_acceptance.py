@@ -45,7 +45,7 @@ def reference():
 
 @pytest.fixture(scope="module")
 def dictionary(reference):
-    return build_lss(reference, 15, 7.0, "integer")
+    return build_lss(reference, 15, 7.0)
 
 
 def test_ac1_null_estimator_fidelity(dictionary):
@@ -212,7 +212,7 @@ def test_ac5_bound_validity(reference):
         ref = gaussian_line_reference(l, l // 2, fwhm, 6.0)
         m = int(rng.integers(3, 16))
         tau = float(rng.uniform(3.0, 9.0))
-        d = build_lss(ref, m, tau, "continuous")
+        d = build_lss(ref, m, tau)
         eta = float(rng.uniform(1.6, 2.8))
         est = mc_max_alpha(d.gram(), eta, 10 ** 6, rng)
         se = math.sqrt(est * (1 - est) / 10 ** 6)
@@ -221,7 +221,7 @@ def test_ac5_bound_validity(reference):
         margins.append(bound - est)
 
     orth_ref = gaussian_line_reference(200, 100, 2.0, 3.0)
-    d_orth = build_lss(orth_ref, 11, 31.0, "continuous")
+    d_orth = build_lss(orth_ref, 11, 31.0)
     for eta in (1.0, 2.0, 3.0):
         gap = abs(pfa_bound(d_orth, eta) - pfa_exact_orthogonal(11, eta))
         assert gap < 1e-7, gap
@@ -240,9 +240,9 @@ def test_ac5_threshold_flattening(reference):
     true bound gives 0.055; see the decisions ledger), so this criterion
     is expected to fail by that margin.
     """
-    eta10 = threshold_for_pfa(build_lss(reference, 10, 8.0, "continuous"),
+    eta10 = threshold_for_pfa(build_lss(reference, 10, 8.0),
                               0.05)
-    eta20 = threshold_for_pfa(build_lss(reference, 20, 8.0, "continuous"),
+    eta20 = threshold_for_pfa(build_lss(reference, 20, 8.0),
                               0.05)
     orth10 = float(ndtri(0.95 ** (1 / 10)))
     orth20 = float(ndtri(0.95 ** (1 / 20)))

@@ -1,6 +1,8 @@
 """The package API that outside code names must exist: the benchmark's
-tracer wraps functions by name, and `__all__` promises its names."""
+tracer wraps functions by name, and `__all__` promises its names.  Only
+the command line prints."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -52,3 +54,13 @@ def test_traced_target_resolves(module_name, attr, span, counter):
 @pytest.mark.parametrize("name", shiftdetect.__all__)
 def test_exported_name_resolves(name):
     assert hasattr(shiftdetect, name)
+
+
+def test_library_code_does_not_print():
+    package = Path(shiftdetect.__file__).parent
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py")) if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert not calls, f"print outside cli.py: {calls}"

@@ -19,7 +19,7 @@ def workdir(tmp_path_factory):
     """A cube with a bright source and a variance plane, saved to disk."""
     root = tmp_path_factory.mktemp("cli")
     ref = gaussian_line_reference(34, 17, 5.0)
-    d = build_lss(ref, 15, 7.0, "integer")
+    d = build_lss(ref, 15, 7.0)
     cfg = SimConfig(n_y=240, n_x=240, l=34, noise=NoiseSpec("gaussian"),
                     dictionary=d, pi0=0.999, seed=3, signal_atom=7,
                     amplitude_range=(4.0, 7.0))
@@ -173,7 +173,7 @@ class TestPi0Modes:
         """A cube on which --pi0 one decides differently from the
         empirical plug-in at q = 0.2."""
         ref = gaussian_line_reference(34, 17, 5.0)
-        d = build_lss(ref, 15, 7.0, "integer")
+        d = build_lss(ref, 15, 7.0)
         cfg = SimConfig(n_y=240, n_x=240, l=34, noise=NoiseSpec("gaussian"),
                         dictionary=d, pi0=0.85, seed=2, signal_atom=7,
                         amplitude_range=(0.5, 3.0))
@@ -245,9 +245,18 @@ class TestMalformedNumbers:
         pytest.param(["ingest", "--input", "{csvdir}", "--output", "{out}"],
                      small_csvdir(**{"variance0002.csv": "1,2\n"}),
                      id="ingest-csvdir-variance-shape"),
+        pytest.param(["ingest", "--input", "{csvdir}", "--output", "{out}"],
+                     small_csvdir(**{"meta.txt": "n_y=-1\nn_x=2\nl=3\n"}),
+                     id="ingest-csvdir-negative-n-y"),
+        pytest.param(["pfa-bound", "--reference", "{conf}", "--tau", "2",
+                      "--m-range", "2..3"], "abc,1,2\n",
+                     id="pfa-bound-reference-abc"),
+        pytest.param(["pfa-bound", "--reference", "{conf}", "--tau", "2",
+                      "--m-range", "2..3"], "", id="pfa-bound-reference-empty"),
     ])
     def test_exits_2(self, workdir, tmp_path, argv, config):
-        """`config` is a config file's text, or the files of a CSV cube."""
+        """`config` is the text of a config (or reference) file, or the
+        files of a CSV cube."""
         conf, csvdir = tmp_path / "bad.conf", tmp_path / "cube"
         if isinstance(config, dict):
             csvdir.mkdir()
@@ -258,6 +267,19 @@ class TestMalformedNumbers:
         paths = dict(ref=workdir / "ref.csv", cube=workdir / "raw.fdc",
                      out=tmp_path / "out", conf=conf, csvdir=csvdir)
         assert run(*[a.format(**paths) for a in argv]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["null-fit", "--out-model", "m.csv"],
+    ["detect", "--out", "maps"],
+])
+def test_retired_mode_option_is_unknown(argv, capsys):
+    # on detect `--mode` would otherwise abbreviate `--model`
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--cube", "c.fdc", "--center", "1,1,1",
+            "--mode", "integer")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode integer" in capsys.readouterr().err
 
 
 class TestNullFitNoiseFloor:

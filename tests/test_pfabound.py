@@ -264,7 +264,7 @@ class TestPfaExactOrthogonal:
 class TestPfaBound:
     def test_orthogonal_reduction_exact(self):
         ref = gaussian_line_reference(200, 100, 2.0, 3.0)
-        d = build_lss(ref, 11, 31.0, "continuous")
+        d = build_lss(ref, 11, 31.0)
         assert d.coherence == 0.0
         for eta in (0.5, 1.5, 2.5):
             assert pfa_bound(d, eta) == pytest.approx(
@@ -276,8 +276,7 @@ class TestPfaBound:
 
     def test_dominates_monte_carlo(self, gauss_reference, rng):
         for m, tau, eta in [(15, 7.0, 2.0), (10, 8.0, 2.4), (20, 8.0, 1.6)]:
-            mode = "integer" if (2 * tau) % (m - 1) == 0 else "continuous"
-            d = build_lss(gauss_reference, m, tau, mode)
+            d = build_lss(gauss_reference, m, tau)
             est = mc_max_alpha(d.gram(), eta, 10 ** 6, rng)
             se = math.sqrt(est * (1 - est) / 10 ** 6)
             for neighbors in ("flanking", "one_sided"):
@@ -286,8 +285,7 @@ class TestPfaBound:
 
     def test_recursion_value_nonincreasing_in_m(self, gauss_reference):
         eta = 2.0
-        vals = [1.0 - pfa_bound(build_lss(gauss_reference, m, 8.0,
-                                          "continuous"), eta)
+        vals = [1.0 - pfa_bound(build_lss(gauss_reference, m, 8.0), eta)
                 for m in range(2, 21)]
         assert np.all(np.diff(vals) <= 1e-12)
 
@@ -298,8 +296,8 @@ class TestPfaBound:
         t = 2.0
         n = 10 ** 6
         for m in (3, 4):
-            d_small = build_lss(gauss_reference, m, 8.0, "continuous")
-            d_big = build_lss(gauss_reference, m + 1, 8.0, "continuous")
+            d_small = build_lss(gauss_reference, m, 8.0)
+            d_big = build_lss(gauss_reference, m + 1, 8.0)
             sub = d_big.gram()[1:, 1:]
             p_small = 1.0 - mc_max_alpha(d_small.gram(), t, n, rng)
             p_big = 1.0 - mc_max_alpha(sub, t, n, rng)
@@ -315,7 +313,7 @@ class TestPfaBound:
             pfa_bound(loaded, 2.0)
 
     def test_rejects_nonmonotone_autocorrelation(self):
-        d = build_lss(two_bump_reference(), 3, 10.0, "integer")
+        d = build_lss(two_bump_reference(), 3, 10.0)
         with pytest.raises(NumericError):
             pfa_bound(d, 2.0)
 
@@ -328,19 +326,19 @@ class TestThresholdForPfa:
 
     def test_orthogonal_closed_form(self):
         ref = gaussian_line_reference(200, 100, 2.0, 3.0)
-        d = build_lss(ref, 7, 30.0, "continuous")
+        d = build_lss(ref, 7, 30.0)
         want = float(ndtri((1 - 0.05) ** (1 / 7)))
         assert threshold_for_pfa(d, 0.05) == pytest.approx(want, abs=1e-7)
 
     def test_round_trip_with_bound(self, gauss_reference):
-        d = build_lss(gauss_reference, 8, 7.0, "continuous")
+        d = build_lss(gauss_reference, 8, 7.0)
         eta = threshold_for_pfa(d, 0.1)
         assert pfa_bound(d, eta) == pytest.approx(0.1, abs=1e-7)
 
     def test_lss_threshold_grows_slower_than_orthogonal(self,
                                                         gauss_reference):
-        etas = {m: threshold_for_pfa(build_lss(gauss_reference, m, 8.0,
-                                               "continuous"), 0.05)
+        etas = {m: threshold_for_pfa(build_lss(gauss_reference, m, 8.0),
+                                     0.05)
                 for m in (10, 20)}
         orth = {m: float(ndtri(0.95 ** (1 / m))) for m in (10, 20)}
         assert etas[20] - etas[10] < orth[20] - orth[10]
@@ -409,7 +407,7 @@ class TestSharedRecursion:
            neighbors=st.sampled_from(["flanking", "one_sided"]))
     def test_matches_per_call_bound(self, t, m, first, neighbors):
         want = direct_pfa_bound(_STANDARD_REF, m, 8.0, t, neighbors)
-        d = build_lss(_STANDARD_REF, m, 8.0, "continuous")
+        d = build_lss(_STANDARD_REF, m, 8.0)
         assert pfa_bound(d, t, neighbors=neighbors) == want
         # a row's value does not depend on the other rows of the call
         assert _SHARED[neighbors].pfa([t, t], [first, m])[1, -1] == want
@@ -444,8 +442,7 @@ class TestSharedRecursion:
         table = threshold_table(_STANDARD_REF, 8.0, ms, 0.05,
                                 neighbors=neighbors)
         for m, eta in zip(ms, table):
-            d = build_lss(_STANDARD_REF, m, 8.0 if m > 1 else 0.0,
-                          "continuous")
+            d = build_lss(_STANDARD_REF, m, 8.0 if m > 1 else 0.0)
             assert eta == threshold_for_pfa(d, 0.05, neighbors=neighbors)
 
     def test_table_validates_like_per_m(self):
@@ -489,11 +486,11 @@ class TestSharedRecursion:
                 threshold_table(_STANDARD_REF, 8.0, ms, 0.05)
         with pytest.raises(DataError, match="m must be"):
             threshold_table(_STANDARD_REF, 8.0, [5, 0, 6], 0.05)
-        d5 = build_lss(_STANDARD_REF, 5, 8.0, "continuous")
+        d5 = build_lss(_STANDARD_REF, 5, 8.0)
         assert pfa_bound(d5, 2.0) == direct_pfa_bound(_STANDARD_REF, 5, 8.0,
                                                       2.0, "flanking")
         with pytest.raises(DataError, match="non-PSD"):
-            pfa_bound(build_lss(_STANDARD_REF, 6, 8.0, "continuous"), 2.0)
+            pfa_bound(build_lss(_STANDARD_REF, 6, 8.0), 2.0)
 
     def test_orthogonal_threshold_inverts_exact_rate(self):
         for m in (1, 7, 20):

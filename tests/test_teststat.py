@@ -75,9 +75,9 @@ class TestComputeField:
             assert np.array_equal(minus.tmin, -plus.tmax)
 
     def test_extra_atom_never_hurts(self, gauss_reference, rng):
-        small = build_lss(gauss_reference, 3, 6.0, "integer")
+        small = build_lss(gauss_reference, 3, 6.0)
         # same grid plus two atoms appended outside: use a denser dictionary
-        big = build_lss(gauss_reference, 5, 6.0, "continuous")
+        big = build_lss(gauss_reference, 5, 6.0)
         cube = rng.standard_normal((6, 6, 30))
         f_small = compute_field(cube, small, MF)
         f_big = compute_field(cube, big, MF)
@@ -90,8 +90,7 @@ class TestComputeField:
         atoms[0, 0] = 1.0
         atoms[1, 1] = 1.0
         from shiftdetect.dictionary import Dictionary
-        d = Dictionary(atoms=atoms, shifts=np.array([0.0, 1.0]), tau=1.0,
-                       coherence=0.0)
+        d = Dictionary(atoms=atoms, shifts=np.array([0.0, 1.0]), tau=1.0)
         cube = np.array([[[1.0, 1.0, 0.0, 0.0]]])
         field = compute_field(cube, d, MF)
         assert field.argmax_atom[0] == 0
