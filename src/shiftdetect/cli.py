@@ -73,7 +73,11 @@ def _fdr_power_rows(aggregate) -> list:
 
 def _load_reference(path, center_band) -> ReferenceAtom:
     try:
-        values = np.loadtxt(path, delimiter=",").ravel()
+        with open(path) as fh:
+            lines = fh.readlines()
+        values = np.empty(0)    # no numbers: loadtxt would warn
+        if any(line.partition("#")[0].strip() for line in lines):
+            values = np.loadtxt(lines, delimiter=",").ravel()
     except OSError as exc:
         raise DataError(f"cannot read reference {path}: {exc}") from exc
     except ValueError as exc:

@@ -70,7 +70,8 @@ def fit_null(field: TestField) -> NullModel:
     sample median (t_(n) + t_(n+1))/2.  s0 collects the max statistics at or
     below mu0_hat, n0 = |s0|; g0 collects the n0 largest flipped-min values,
     which coincides with {-tmin_i > mu0_hat} whenever the pooled values are
-    tie-free around the median (the continuous-data case).
+    tie-free around the median (the continuous-data case).  The order
+    statistics are exact; zeros keep the signs a stable sort gives them.
     """
     tmax = np.asarray(field.tmax, dtype=float)
     neg_min = -np.asarray(field.tmin, dtype=float)
@@ -80,7 +81,8 @@ def fit_null(field: TestField) -> NullModel:
     pool = np.concatenate([tmax, neg_min])
     if np.all(pool == pool[0]):
         raise DataError("degenerate field: all statistics identical")
-    lo, hi = np.partition(pool, [n - 1, n])[n - 1:n + 1]
+    part = np.partition(pool, n)
+    lo, hi = part[:n].max(), part[n]
     if lo == hi == 0:   # signed zeros: take them in stable-sort order
         lo, hi = np.sort(pool, kind="stable")[n - 1:n + 1]
     mu0 = 0.5 * (lo + hi)
@@ -94,7 +96,8 @@ def fit_null(field: TestField) -> NullModel:
     if not g0.all():    # a zero among them: as for mu0
         g0 = np.sort(neg_min, kind="stable")[-n0:]
     pi0 = min((2 * n0) / n, 1.0)
-    pooled = np.sort(np.concatenate([s0, g0]), kind="stable")
+    pooled = np.concatenate([s0, g0])
+    pooled.sort(kind=None if pooled.all() else "stable")    # as for mu0
     return NullModel(mu0_hat=float(mu0), pi0_hat=pi0, n0=n0, n_fit=n,
                      pooled=pooled)
 

@@ -59,10 +59,12 @@ def compute_field(cube, dictionary: Dictionary,
     `cube` may be a pipeline Cube, a (n_y, n_x, l) array, or a (n, l) matrix
     of spectra (treated as an (n, 1) grid).  Pixels whose spectrum is
     entirely NaN are masked out; a partially-NaN spectrum is an error.
-    Argmax ties break toward the lowest atom index.
+    Argmax ties break toward the lowest atom index; a NaN score counts as
+    the maximum, as in `np.argmax`.  Max, min and argmax run over pixels of
+    an atom-major copy of the `score_matrix` scores: exact order statistics,
+    though a zero (or, from infinite input, NaN) one may differ in sign.
     """
-    data = getattr(cube, "data", cube)
-    data = np.asarray(data, dtype=float)
+    data = np.asarray(getattr(cube, "data", cube), dtype=float)
     if data.ndim == 2:
         data = data[:, None, :]
     if data.ndim != 3:
@@ -73,18 +75,25 @@ def compute_field(cube, dictionary: Dictionary,
             f"{dictionary.length}")
 
     n_y, n_x, l = data.shape
-    flat = data.reshape(-1, l)
-    nan_count = np.isnan(flat).sum(axis=1)
-    masked = nan_count == l
-    if np.any((nan_count > 0) & ~masked):
-        raise DataError("NaNs allowed only in fully masked pixels")
-    valid = np.nonzero(~masked)[0]
+    flat = np.ascontiguousarray(data.reshape(-1, l))    # C rows for BLAS
+    valid = np.arange(n_y * n_x)
+    if np.isnan(flat).any():    # per-pixel counts only when needed
+        nan_count = np.isnan(flat).sum(axis=1)
+        masked = nan_count == l
+        if np.any((nan_count > 0) & ~masked):
+            raise DataError("NaNs allowed only in fully masked pixels")
+        valid = np.nonzero(~masked)[0]
+        flat = flat[valid]
 
-    scores = score_matrix(flat[valid], dictionary.atoms, kind)
+    scores = np.ascontiguousarray(score_matrix(flat, dictionary.atoms, kind).T)
+    tmax = scores.max(axis=0)
+    argmax = np.zeros(valid.size, dtype=np.intp)
+    for j in range(len(scores) - 1, -1, -1):    # the lowest index wins
+        argmax[(scores[j] == tmax) | np.isnan(scores[j])] = j
     return TestField(
-        tmax=scores.max(axis=1),
-        tmin=scores.min(axis=1),
-        argmax_atom=scores.argmax(axis=1),
+        tmax=tmax,
+        tmin=scores.min(axis=0),
+        argmax_atom=argmax,
         rows=valid // n_x,
         cols=valid % n_x,
         shape=(n_y, n_x),

@@ -7,10 +7,16 @@ straight from the definitions or the published algorithms.
 `fit_null_sorted`, `piecewise_linear_shift` and the `csv.writer` writers
 are the earlier, plainer forms of `nullmodel.fit_null`, of the fractional
 `ReferenceAtom.sampled_shift` and of the fit-artifact writers; the library
-code must reproduce their results bit for bit."""
+code must reproduce their results bit for bit.  `compute_field_rowwise`,
+`standardize_nanmedian` and `check_nan_policy_per_pixel` are the earlier
+forms of `teststat.compute_field`, of the robust standardization in
+`pipeline.preprocess` and of `pipeline._check_nan_policy`; the library
+reproduces them bit for bit up to the sign of a zero (see
+`equal_up_to_zero_sign`)."""
 
 import csv
 import math
+import warnings
 
 import numpy as np
 from scipy.special import ndtr
@@ -18,7 +24,8 @@ from scipy.special import ndtr
 from shiftdetect.errors import DataError
 from shiftdetect.nullmodel import NullModel
 from shiftdetect.pfabound import _GL20_W, _GL20_X, _PATH_T, _PATH_W
-from shiftdetect.similarity import SimilarityKind
+from shiftdetect.similarity import SimilarityKind, score_matrix
+from shiftdetect.teststat import TestField
 
 _TWOPI = 2.0 * math.pi
 
@@ -267,3 +274,73 @@ def write_dictionary_csv(dictionary, path) -> None:
         writer.writerow(["%.17g" % s for s in dictionary.shifts])
         for row in dictionary.atoms:
             writer.writerow(["%.17g" % v for v in row])
+
+
+def equal_up_to_zero_sign(a, b) -> bool:
+    """Same dtype, shape and bytes once every zero is read as +0.0 and
+    every NaN as numpy's NaN (infinite input can give NaNs of either
+    sign)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    a, b = (np.where(x == 0, 0.0, np.where(np.isnan(x), np.nan, x))
+            for x in (a, b))
+    return a.tobytes() == b.tobytes()
+
+
+def compute_field_rowwise(cube, dictionary, kind) -> TestField:
+    """`compute_field` with per-pixel NaN counts and a copy of the unmasked
+    spectra on every call, and max, min and argmax taken along the atom
+    axis of the (pixel, atom) scores."""
+    data = np.asarray(getattr(cube, "data", cube), dtype=float)
+    if data.ndim == 2:
+        data = data[:, None, :]
+    if data.ndim != 3:
+        raise DataError("expected a (n_y, n_x, l) cube or (n, l) spectra")
+    if data.shape[2] != dictionary.length:
+        raise DataError(
+            f"cube has {data.shape[2]} bands but atoms have length "
+            f"{dictionary.length}")
+    n_y, n_x, l = data.shape
+    flat = data.reshape(-1, l)
+    nan_count = np.isnan(flat).sum(axis=1)
+    masked = nan_count == l
+    if np.any((nan_count > 0) & ~masked):
+        raise DataError("NaNs allowed only in fully masked pixels")
+    valid = np.nonzero(~masked)[0]
+    scores = score_matrix(flat[valid], dictionary.atoms, kind)
+    return TestField(tmax=scores.max(axis=1), tmin=scores.min(axis=1),
+                     argmax_atom=scores.argmax(axis=1), rows=valid // n_x,
+                     cols=valid % n_x, shape=(n_y, n_x))
+
+
+def standardize_nanmedian(cube, use_variance) -> np.ndarray:
+    """`preprocess` without baseline or kernel: division by sqrt(variance),
+    then each band centred on its `np.nanmedian` and scaled by 1.4826 times
+    the `np.nanmedian` of its absolute deviations, a new array each step."""
+    data = cube.data.copy()
+    if use_variance:
+        data = data / np.sqrt(cube.variance)
+    for b in range(data.shape[2]):
+        band = data[:, :, b]
+        with warnings.catch_warnings():     # "All-NaN slice encountered"
+            warnings.simplefilter("ignore", RuntimeWarning)
+            band = band - np.nanmedian(band)
+            scale = 1.4826 * np.nanmedian(np.abs(band))
+        if not np.isfinite(scale) or scale <= 0:
+            raise DataError(f"degenerate band {b}: zero spread")
+        data[:, :, b] = band / scale
+    return data
+
+
+def check_nan_policy_per_pixel(cube) -> None:
+    """`_check_nan_policy` from per-pixel NaN counts of data and variance,
+    whether or not the cube holds a NaN."""
+    flat = cube.data.reshape(-1, cube.shape[2])
+    counts = np.isnan(flat).sum(axis=1)
+    if np.any((counts > 0) & (counts < cube.shape[2])):
+        raise DataError("NaNs allowed only in fully masked pixels")
+    if cube.variance is not None:
+        vcounts = np.isnan(cube.variance.reshape(flat.shape)).sum(axis=1)
+        if np.any(vcounts != counts):
+            raise DataError("variance mask must match data mask")

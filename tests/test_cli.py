@@ -253,10 +253,13 @@ class TestMalformedNumbers:
                      id="pfa-bound-reference-abc"),
         pytest.param(["pfa-bound", "--reference", "{conf}", "--tau", "2",
                       "--m-range", "2..3"], "", id="pfa-bound-reference-empty"),
+        pytest.param(["pfa-bound", "--reference", "{conf}", "--tau", "2",
+                      "--m-range", "2..3"], "# a comment only\n\n",
+                     id="pfa-bound-reference-no-numbers"),
     ])
-    def test_exits_2(self, workdir, tmp_path, argv, config):
+    def test_exits_2(self, workdir, tmp_path, capsys, argv, config):
         """`config` is the text of a config (or reference) file, or the
-        files of a CSV cube."""
+        files of a CSV cube.  The error line is all that stderr gets."""
         conf, csvdir = tmp_path / "bad.conf", tmp_path / "cube"
         if isinstance(config, dict):
             csvdir.mkdir()
@@ -266,7 +269,10 @@ class TestMalformedNumbers:
             conf.write_text(config)
         paths = dict(ref=workdir / "ref.csv", cube=workdir / "raw.fdc",
                      out=tmp_path / "out", conf=conf, csvdir=csvdir)
+        capsys.readouterr()
         assert run(*[a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,6 @@
+import re
 import struct
+import warnings
 from types import SimpleNamespace
 
 import hypothesis.extra.numpy as hnp
@@ -10,13 +12,16 @@ from shiftdetect.dictionary import build_lss
 from shiftdetect.errors import DataError
 from shiftdetect.nullmodel import NullModel
 from shiftdetect.pipeline import (Cube, DictionaryParams, FsfKernel,
-                                  RegionSpec, estimate_reference, extract,
-                                  gaussian_fsf, load_cube, load_cube_csvdir,
-                                  masked_pixels, preprocess, run_detection,
-                                  save_cube, save_cube_csvdir, write_maps,
-                                  write_pgm)
+                                  RegionSpec, _check_nan_policy, _nanmedian,
+                                  estimate_reference, extract, gaussian_fsf,
+                                  load_cube, load_cube_csvdir, masked_pixels,
+                                  preprocess, run_detection, save_cube,
+                                  save_cube_csvdir, write_maps, write_pgm)
 from shiftdetect.similarity import SimilarityKind
 from shiftdetect.simulate import NoiseSpec, SimConfig, generate
+
+from oracles import (check_nan_policy_per_pixel, equal_up_to_zero_sign,
+                     standardize_nanmedian)
 
 SAD = SimilarityKind.SPECTRAL_ANGLE
 
@@ -68,6 +73,54 @@ class TestCubeContainer:
         var[0, 0, 0] = 0.0
         with pytest.raises(DataError):
             Cube(data=rng.standard_normal((3, 3, 2)), variance=var)
+
+
+@st.composite
+def masked_cubes(draw):
+    """A small cube, continuous or quantised (ties, zeros of both signs),
+    with a variance block and masked pixels now and then."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)),
+             draw(st.integers(1, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        data = rng.integers(0, 4, shape) * rng.choice([-0.5, 0.5], shape)
+    else:
+        data = rng.standard_normal(shape)
+    var = rng.uniform(0.5, 2.0, shape) if draw(st.booleans()) else None
+    masked = rng.random(shape[:2]) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    data[masked] = np.nan
+    if var is not None:
+        var[masked] = np.nan
+    return data, var
+
+
+@st.composite
+def messy_cubes(draw):
+    """`masked_cubes` plus, now and then, a stray NaN or a whole masked
+    pixel in the data alone or in the variance alone."""
+    data, var = draw(masked_cubes())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    for block in (data, var):
+        if block is None:
+            continue
+        for axes in (3, 2):     # one voxel, one whole spectrum
+            if draw(st.integers(0, 2)) == 0:
+                block[tuple(rng.integers(n) for n in block.shape[:axes])] \
+                    = np.nan
+    return Cube(data=data, variance=var)
+
+
+class TestNanPolicy:
+    @settings(max_examples=300, deadline=None)
+    @given(cube=messy_cubes())
+    def test_equals_per_pixel_rule(self, cube):
+        try:
+            check_nan_policy_per_pixel(cube)
+        except DataError as exc:
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                _check_nan_policy(cube)
+        else:
+            _check_nan_policy(cube)
 
 
 class TestBinaryIO:
@@ -279,6 +332,59 @@ class TestPreprocess:
             assert abs(np.mean(band > 0) - 0.5) < 4 * np.sqrt(0.25 / 10000)
             assert abs(np.quantile(band, 0.95)
                        + np.quantile(band, 0.05)) < 0.08
+
+
+class TestExactMedians:
+    """`preprocess`'s medians are exact order statistics equal in value to
+    `np.nanmedian`'s; only the sign of a zero median may differ, and then
+    only the sign of zeros in the output."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.sampled_from([-1.5, -1.0, -0.0, 0.0, 0.5, 1.0, np.nan]),
+        st.floats(allow_nan=True)), max_size=40))
+    def test_nanmedian_equals_numpy(self, values):
+        self.check_nanmedian(np.array(values, dtype=float))
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(0, 5000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_nanmedian_equals_numpy_on_long_quantised(self, size, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-3, 4, size) * rng.choice([-0.5, 0.5], size)
+        values[rng.random(size) < rng.random()] = np.nan
+        self.check_nanmedian(values)
+
+    @staticmethod
+    def check_nanmedian(values):
+        # both warn alike on inf - inf or an overflowing middle pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.nanmedian(values)
+            got = _nanmedian(values)
+        # the sign rule: equal bits, except that a zero may differ in sign
+        assert equal_up_to_zero_sign(got, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=masked_cubes(), use_variance=st.booleans())
+    def test_preprocess_equals_nanmedian_form(self, case, use_variance):
+        data, var = case
+        cube = Cube(data=data, variance=var)
+        use_variance = use_variance and var is not None
+        try:
+            expected = standardize_nanmedian(cube, use_variance)
+        except DataError as exc:
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                preprocess(cube, use_variance=use_variance)
+            return
+        got = preprocess(cube, use_variance=use_variance).data
+        assert equal_up_to_zero_sign(got, expected)
+
+    def test_all_masked_band_raises_without_warning(self):
+        # pytest turns warnings into errors: numpy's "All-NaN slice"
+        # RuntimeWarning would fail this before the DataError
+        data = np.full((3, 4, 2), np.nan)
+        with pytest.raises(DataError, match="degenerate band 0"):
+            preprocess(Cube(data=data), use_variance=False)
 
 
 class TestFsfKernel:

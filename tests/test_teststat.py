@@ -1,15 +1,51 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shiftdetect.dictionary import build_lss
+from shiftdetect import teststat
+from shiftdetect.dictionary import build_lss, gaussian_line_reference
 from shiftdetect.errors import DataError
 from shiftdetect.similarity import SimilarityKind, score_matrix
 from shiftdetect.teststat import TestField, compute_field
 
-from oracles import similarity
+from oracles import compute_field_rowwise, equal_up_to_zero_sign, similarity
 
 MF = SimilarityKind.MATCHED_FILTER
 SAD = SimilarityKind.SPECTRAL_ANGLE
+
+_DICTIONARIES = (build_lss(gaussian_line_reference(30, 15, 5.0, 6.0), 15, 7.0),
+                 build_lss(gaussian_line_reference(8, 4, 3.0), 3, 1.0))
+# 1..70 pixels as a row, a column or a small block, and one 50x50 window:
+# pixel counts on and off the BLAS block sizes
+_GRIDS = st.one_of(st.integers(1, 70).map(lambda n: (1, n)),
+                   st.integers(1, 70).map(lambda n: (n, 1)),
+                   st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                   st.just((50, 50)))
+
+
+@st.composite
+def field_cases(draw):
+    """A cube, dictionary and similarity for `compute_field`.  Values are
+    continuous or quantised (ties, zeros of both signs), with now and then
+    zero spectra, masked pixels, a partially NaN pixel or an infinity."""
+    dictionary = draw(st.sampled_from(_DICTIONARIES))
+    l = dictionary.length
+    shape = draw(_GRIDS) + (l,)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        data = rng.integers(0, 3, shape) * rng.choice([-0.5, 0.5], shape)
+    else:
+        data = rng.standard_normal(shape)
+    pixels = data.reshape(-1, l)
+    for fill in (0.0, np.nan):
+        share = draw(st.sampled_from([0.0, 0.2, 1.0]))
+        pixels[rng.random(len(pixels)) < share] = fill
+    for fill in (np.nan, np.inf):
+        if draw(st.integers(0, 9)) == 0:
+            pixels[rng.integers(len(pixels)), rng.integers(l)] = fill
+    return data, dictionary, draw(st.sampled_from([MF, SAD]))
 
 
 def naive_field(cube, dictionary, kind):
@@ -118,6 +154,48 @@ class TestComputeField:
         field = compute_field(spectra, line_dictionary, MF)
         assert field.shape == (11, 1)
         assert field.n == 11
+
+
+class TestComputeFieldOracle:
+    """`compute_field` against its earlier row-wise form: the same bytes,
+    except that a zero statistic may carry the other sign, and a DataError
+    exactly where the earlier form raises one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=field_cases())
+    def test_equals_rowwise_form(self, case):
+        data, dictionary, kind = case
+        # an infinity can make NaN scores, with numpy's invalid-value flag
+        with np.errstate(all="ignore"):
+            try:
+                expected = compute_field_rowwise(data, dictionary, kind)
+            except DataError as exc:
+                with pytest.raises(DataError, match=re.escape(str(exc))):
+                    compute_field(data, dictionary, kind)
+                return
+            got = compute_field(data, dictionary, kind)
+        assert equal_up_to_zero_sign(got.tmax, expected.tmax)
+        assert equal_up_to_zero_sign(got.tmin, expected.tmin)
+        for name in ("argmax_atom", "rows", "cols"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.shape == expected.shape
+
+    def test_scores_come_from_score_matrix(self, line_dictionary, rng,
+                                           monkeypatch):
+        # the benchmark's `--trace 1` wraps `teststat.score_matrix` by name,
+        # so the scores must be fetched through that module attribute
+        calls = []
+
+        def spy(spectra, atoms, kind):
+            calls.append(spectra.shape)
+            return score_matrix(spectra, atoms, kind)
+
+        monkeypatch.setattr(teststat, "score_matrix", spy)
+        cube = rng.standard_normal((4, 5, 30))
+        cube[1, 2] = np.nan
+        assert compute_field(cube, line_dictionary, SAD).n == 19
+        assert calls == [(19, 30)]
 
 
 class TestTestFieldContainer:
