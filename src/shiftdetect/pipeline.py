@@ -454,9 +454,13 @@ def write_pgm(path, values: np.ndarray, invert: bool = False) -> None:
     """8-bit binary PGM preview of a 2-d map; NaN renders black."""
     v = np.asarray(values, dtype=float)
     finite = np.isfinite(v)
-    lo = v[finite].min() if finite.any() else 0.0
-    hi = v[finite].max() if finite.any() else 1.0
+    lo = float(v[finite].min()) if finite.any() else 0.0
+    hi = float(v[finite].max()) if finite.any() else 1.0
     span = hi - lo if hi > lo else 1.0
+    if span == np.inf:
+        # the range exceeds the largest double; halving keeps v - lo finite
+        v, lo, hi = v / 2, lo / 2, hi / 2
+        span = hi - lo
     scaled = np.where(finite, (v - lo) / span, 0.0)
     if invert:
         scaled = np.where(finite, 1.0 - scaled, 0.0)

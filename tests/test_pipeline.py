@@ -613,3 +613,10 @@ class TestMapOutput:
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n2 2\n255\n")
         assert len(raw) == len(b"P5\n2 2\n255\n") + 4
+
+    def test_pgm_spans_full_double_range(self, tmp_path):
+        # hi - lo overflows a double; the preview still runs black to white
+        big = np.finfo(float).max
+        path = tmp_path / "m.pgm"
+        write_pgm(path, np.array([[-big, 0.0, big, np.inf]]))
+        assert path.read_bytes()[-4:] == bytes([0, 128, 255, 0])
