@@ -19,26 +19,23 @@ CDF integrates Plackett's correlation-derivative identity along a linear
 correlation path with Gauss-Legendre quadrature.  Both kernels work on
 arrays, element by element; `normal_cdf_2d` and `normal_cdf_3d` are their
 validated scalar forms (a NaN limit or correlation raises DataError).
+
+Importing scipy.special takes longer than a CLI run that never uses it, so
+the functions import it where they need it, and the quadrature rules are
+built on first use and kept for the rest of the process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri, roots_legendre
 
 from .dictionary import Dictionary, autocorrelation
 from .errors import DataError, NumericError
 
 _TWOPI = 2.0 * math.pi
-
-# Gauss-Legendre rule used by the bivariate integrand (20-point).
-_GL20_X, _GL20_W = roots_legendre(20)
-# Rule for the trivariate correlation-path integral on [0, 1].
-_GL_PATH_X, _GL_PATH_W = roots_legendre(96)
-_PATH_T = 0.5 * (_GL_PATH_X + 1.0)
-_PATH_W = 0.5 * _GL_PATH_W
 # Bisection width of every bound threshold.
 _ETA_TOL = 1e-8
 # Thresholds on which M_m is checked to be monotone before it is inverted;
@@ -48,6 +45,17 @@ _MONOTONE_GRID = np.linspace(-6.0, 8.0, 29)
 # a bisection round of the 2..20 table (171 rows) is one call, and the
 # kernels' temporaries stay under 1 MB.
 _KERNEL_ROWS = 180
+
+
+@functools.cache
+def _rules() -> tuple:
+    """Nodes and weights of the 20-point Gauss-Legendre rule of the
+    bivariate integrand, then those of the 96-point rule of the trivariate
+    correlation-path integral mapped to [0, 1]."""
+    from scipy.special import roots_legendre
+    gl20_x, gl20_w = roots_legendre(20)
+    path_x, path_w = roots_legendre(96)
+    return gl20_x, gl20_w, 0.5 * (path_x + 1.0), 0.5 * path_w
 
 
 def _bvnu(dh, dk, r) -> np.ndarray:
@@ -60,6 +68,8 @@ def _bvnu(dh, dk, r) -> np.ndarray:
     the branch its own (dh, dk, r) selects, so a bulk call returns the
     same bits as one call per element.
     """
+    from scipy.special import ndtr
+    gl20_x, gl20_w = _rules()[:2]
     dh, dk, r = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                       for v in (dh, dk, r)))
     shape = dh.shape
@@ -78,8 +88,8 @@ def _bvnu(dh, dk, r) -> np.ndarray:
     hk = h * k
     hs = 0.5 * (h * h + k * k)
     asr = np.arcsin(rl)
-    sn = np.sin(0.5 * asr * (1.0 + _GL20_X))
-    bvn = np.sum(_GL20_W * np.exp((sn * hk - hs) / (1.0 - sn * sn)), axis=1)
+    sn = np.sin(0.5 * asr * (1.0 + gl20_x))
+    bvn = np.sum(gl20_w * np.exp((sn * hk - hs) / (1.0 - sn * sn)), axis=1)
     out[low] = np.clip(bvn * asr[:, 0] / (2.0 * _TWOPI)
                        + ndtr(-dh[low]) * ndtr(-dk[low]), 0.0, 1.0)
 
@@ -105,14 +115,14 @@ def _bvnu(dh, dk, r) -> np.ndarray:
                         * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0), 0.0)
     half_a = 0.5 * a
     # the symmetric node set covers both mirror points (1 - x) and (1 + x)
-    xs = (half_a * (_GL20_X + 1.0)) ** 2
+    xs = (half_a * (gl20_x + 1.0)) ** 2
     rs = np.sqrt(1.0 - xs)
     asr_v = -0.5 * (bs / xs + hk)
     keep = asr_v > -100.0
     sp_v = 1.0 + c * xs * (1.0 + d * xs)
     ep_v = np.exp(-0.5 * hk * (1.0 - rs) / (1.0 + rs)) / rs
     bvn += half_a * np.sum(
-        np.where(keep, _GL20_W * np.exp(asr_v) * (ep_v - sp_v), 0.0),
+        np.where(keep, gl20_w * np.exp(asr_v) * (ep_v - sp_v), 0.0),
         axis=1, keepdims=True)
     bvn = -bvn / _TWOPI
     bvn = np.where(rh > 0.0, bvn + ndtr(-np.maximum(h, k)),
@@ -137,11 +147,13 @@ def _path_integral(b_i, b_j, b_k, rho_ij_target, rho_ki, rho_kj):
     * Phi(conditional b_k).  Columns (n, 1) in, one value per row out.
     The integrand is evaluated a quarter of the nodes at a time, which
     keeps the temporaries small."""
-    term = np.empty((len(b_i), _PATH_T.size))
-    quarter = _PATH_T.size // 4
-    for lo in range(0, _PATH_T.size, quarter):
+    from scipy.special import ndtr
+    path_nodes, path_weights = _rules()[2:]
+    term = np.empty((len(b_i), path_nodes.size))
+    quarter = path_nodes.size // 4
+    for lo in range(0, path_nodes.size, quarter):
         nodes = slice(lo, lo + quarter)
-        path_t = _PATH_T[nodes]
+        path_t = path_nodes[nodes]
         rho_ij = path_t * rho_ij_target
         rho_ki_t = path_t * rho_ki
         det = 1.0 - rho_ij * rho_ij
@@ -158,7 +170,7 @@ def _path_integral(b_i, b_j, b_k, rho_ij_target, rho_ki, rho_kj):
         q = (b_i * b_i - 2.0 * rho_ij * b_i * b_j + b_j * b_j) / det
         phi2 = np.exp(-0.5 * q) / (_TWOPI * np.sqrt(det))
         term[:, nodes] = rho_ij_target * phi2 * ndtr(z)
-    term *= _PATH_W
+    term *= path_weights
     return np.sum(term, axis=1)
 
 
@@ -185,6 +197,7 @@ def _tvn(b, rho) -> np.ndarray:
     Plackett's derivative identity.  Rows are independent, so a bulk call
     returns the same bits as one call per row.
     """
+    from scipy.special import ndtr
     b = np.asarray(b, dtype=float).reshape(-1, 3)
     rho = np.asarray(rho, dtype=float).reshape(-1, 3)
     out = np.empty(len(b))
@@ -257,6 +270,7 @@ def normal_cdf_3d(h: float, k: float, j: float, rho12: float, rho13: float,
 def pfa_exact_orthogonal(m: int, eta: float) -> float:
     """Exact max-test false-alarm probability 1 - Phi(eta)^m for m
     orthogonal unit atoms under N(0, I) noise."""
+    from scipy.special import ndtr
     if m < 1:
         raise DataError("m must be >= 1")
     return float(-np.expm1(m * np.log(ndtr(eta)))) if ndtr(eta) > 0 else 1.0
@@ -264,6 +278,7 @@ def pfa_exact_orthogonal(m: int, eta: float) -> float:
 
 def threshold_for_pfa_orthogonal(m: int, alpha: float) -> float:
     """Threshold with exact false-alarm alpha for m orthogonal atoms."""
+    from scipy.special import ndtri
     return float(ndtri((1.0 - alpha) ** (1.0 / m)))
 
 
@@ -405,6 +420,7 @@ def threshold_table(reference, tau: float, ms, alpha: float,
     computed as on its own, so the thresholds equal `threshold_for_pfa`'s
     bit for bit.
     """
+    from scipy.special import ndtri
     if not (0.0 < alpha < 1.0):
         raise DataError("alpha must lie in (0, 1)")
     ms = list(ms)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .dictionary import Dictionary, ReferenceAtom, build_lss
 from .errors import DataError
@@ -233,8 +232,13 @@ def load_cube_csvdir(dirpath, window=None) -> Cube:
     for b in range(l):
         for stem, block in blocks.items():
             path = os.path.join(dirpath, f"{stem}{b:04d}.csv")
+            with open(path) as fh:
+                lines = fh.readlines()
+            if not any(line.partition("#")[0].strip() for line in lines):
+                raise DataError(f"{path}: no numbers, expected shape "
+                                f"{(n_y, n_x)}")    # loadtxt would warn
             try:
-                values = np.loadtxt(path, delimiter=",", ndmin=2)
+                values = np.loadtxt(lines, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise DataError(f"{path}: {exc}") from None
             if values.shape != (n_y, n_x):
@@ -287,6 +291,7 @@ def preprocess(cube: Cube, fsf: Optional[FsfKernel] = None,
     reflective boundaries.  Every step is odd in the data, so symmetric
     noise stays symmetric.  Masked pixels pass through untouched.
     """
+    from scipy import ndimage
     data = cube.data.copy()
     if baseline_window is not None:
         if baseline_window < 3 or baseline_window % 2 == 0:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .dictionary import Dictionary
 from .errors import DataError
@@ -157,6 +156,7 @@ def generate(config: SimConfig) -> tuple:
     Draw order is fixed (noise cube, contaminated-pixel choice, amplitudes,
     shifts) so identical configs give bit-identical output.
     """
+    from scipy import ndimage
     rng = np.random.default_rng(config.seed)
     n_y, n_x, l = config.n_y, config.n_x, config.l
     noise = config.noise.draw(rng, (n_y, n_x, l))

@@ -23,11 +23,12 @@ from scipy.special import ndtr
 
 from shiftdetect.errors import DataError
 from shiftdetect.nullmodel import NullModel
-from shiftdetect.pfabound import _GL20_W, _GL20_X, _PATH_T, _PATH_W
+from shiftdetect.pfabound import _rules
 from shiftdetect.similarity import SimilarityKind, score_matrix
 from shiftdetect.teststat import TestField
 
 _TWOPI = 2.0 * math.pi
+_GL20_X, _GL20_W, _PATH_T, _PATH_W = _rules()
 
 
 def similarity(kind: SimilarityKind, y, d) -> float:

@@ -1,4 +1,9 @@
+import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,9 @@ from shiftdetect.pipeline import (Cube, RegionSpec, estimate_reference,
 from shiftdetect import simulate
 from shiftdetect.simulate import (NoiseSpec, SimConfig, generate,
                                   uniform_kernel)
+from tests.test_api import _load_tracing
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +256,12 @@ class TestMalformedNumbers:
         pytest.param(["ingest", "--input", "{csvdir}", "--output", "{out}"],
                      small_csvdir(**{"meta.txt": "n_y=-1\nn_x=2\nl=3\n"}),
                      id="ingest-csvdir-negative-n-y"),
+        pytest.param(["ingest", "--input", "{csvdir}", "--output", "{out}"],
+                     small_csvdir(**{"band0001.csv": ""}),
+                     id="ingest-csvdir-band-empty"),
+        pytest.param(["ingest", "--input", "{csvdir}", "--output", "{out}"],
+                     small_csvdir(**{"variance0002.csv": "# no values\n\n"}),
+                     id="ingest-csvdir-variance-empty"),
         pytest.param(["pfa-bound", "--reference", "{conf}", "--tau", "2",
                       "--m-range", "2..3"], "abc,1,2\n",
                      id="pfa-bound-reference-abc"),
@@ -399,3 +413,52 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# Run in a fresh interpreter: the scipy modules loaded after the import and
+# the parser (and a `hasattr` probe of the kind `from .pfabound import ...`
+# makes), the shiftdetect modules loaded, the exit code of each `main` call
+# in argv[1], and the scipy modules loaded after them.
+STARTUP_PROBE = """
+import json, sys
+import shiftdetect.cli
+
+def loaded(top):
+    return sorted(m for m in sys.modules if m.split(".")[0] == top)
+
+hasattr(shiftdetect.pfabound, "__path__")
+shiftdetect.cli.build_parser()
+report = {"parser": loaded("scipy"), "package": loaded("shiftdetect")}
+report["codes"] = [shiftdetect.cli.main(a) for a in json.loads(sys.argv[1])]
+report["main"] = loaded("scipy")
+print(json.dumps(report))
+"""
+
+
+def test_startup_and_io_commands_load_no_scipy(workdir, tmp_path):
+    """scipy takes most of a CLI process's start-up; the commands that read,
+    fit and detect never call it, so it must not be imported for them."""
+    window = ["--cube", str(workdir / "raw.fdc"), "--center", "120,120,17"]
+    model, dictionary = str(tmp_path / "model.csv"), str(tmp_path / "d.csv")
+    calls = [
+        ["detect", *window, "--out", str(tmp_path / "one_shot")],
+        ["null-fit", *window, "--out-model", model, "--out-dict", dictionary],
+        ["detect", *window, "--model", model, "--dict-in", dictionary,
+         "--out", str(tmp_path / "saved_fit")],
+        ["ingest", "--input", str(workdir / "raw.fdc"),
+         "--output", str(tmp_path / "csvdir"), "--output-format", "csvdir"],
+        ["ingest", "--input", str(tmp_path / "csvdir"),
+         "--output", str(tmp_path / "back.fdc")],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, json.dumps(calls)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=tmp_path,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["parser"] == []
+    # the benchmark's tracer wraps functions in every layer's module
+    layers = {f"shiftdetect.{layer}" for layer in _load_tracing().LAYERS}
+    assert layers <= set(report["package"])
+    assert report["codes"] == [0] * len(calls)
+    assert report["main"] == []

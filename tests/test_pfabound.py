@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, roots_legendre
 
 from shiftdetect import pfabound
 from shiftdetect.cli import main
@@ -523,6 +523,17 @@ m,eta_bound,eta_orthogonal,expected_gain
 19,2.5045695,2.7826308,2.6904104
 20,2.5068633,2.7992115,2.6914013
 """
+
+
+def test_quadrature_rules_are_scipys():
+    """The rules built on first use have the bits of the Gauss-Legendre
+    rules the kernels were validated with."""
+    x20, w20 = roots_legendre(20)
+    x96, w96 = roots_legendre(96)
+    want = (x20, w20, 0.5 * (x96 + 1.0), 0.5 * w96)
+    rules = pfabound._rules()
+    assert [r.tobytes() for r in rules] == [w.tobytes() for w in want]
+    assert pfabound._rules() is rules
 
 
 def test_pfa_bound_command_golden_table(tmp_path, capsys):
