@@ -21,7 +21,7 @@ dictionary = build_lss(reference, 15, 7.0)
 
 # 2500 pixels of heavy-tailed noise, 19% of them carrying a weak line of
 # random amplitude in [0.1, 3]
-config = SimConfig(n_y=50, n_x=50, l=30, noise=NoiseSpec("student", nu=5.0),
+config = SimConfig(n_y=50, n_x=50, noise=NoiseSpec("student", nu=5.0),
                    dictionary=dictionary, pi0=0.81,
                    amplitude_range=(0.1, 3.0), seed=2, signal_atom=7)
 cube, truth = generate(config)

@@ -21,7 +21,7 @@ reference = gaussian_line_reference(30, 15, 5.0)
 dictionary = build_lss(reference, 15, 7.0)
 
 # background: 240x240x30 unit Gaussian noise
-background, _ = generate(SimConfig(n_y=240, n_x=240, l=30,
+background, _ = generate(SimConfig(n_y=240, n_x=240,
                                    noise=NoiseSpec("gaussian"),
                                    dictionary=dictionary, pi0=1.0, seed=8))
 data = background.data.copy()

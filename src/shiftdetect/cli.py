@@ -22,8 +22,8 @@ from .nullmodel import NullModel
 from .pfabound import threshold_for_pfa_orthogonal, threshold_table
 from .pipeline import (DictionaryParams, FsfKernel, RegionSpec, fit_region,
                        gaussian_fsf, load_cube, load_cube_csvdir, preprocess,
-                       read_key_values, run_detection, save_cube,
-                       save_cube_csvdir, write_maps)
+                       read_key_values, read_numbers, run_detection,
+                       save_cube, save_cube_csvdir, write_maps)
 from .similarity import SimilarityKind
 from .simulate import NoiseSpec, fdr_snr_sweep, glr_contrast, uniform_kernel
 
@@ -69,22 +69,6 @@ def _write_csv(path, header, rows) -> None:
 def _fdr_power_rows(aggregate) -> list:
     return [[key, q, "%.6g" % row["fdr"], "%.6g" % row["power"]]
             for (key, q), row in sorted(aggregate.items())]
-
-
-def _load_reference(path, center_band) -> ReferenceAtom:
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-        values = np.empty(0)    # no numbers: loadtxt would warn
-        if any(line.partition("#")[0].strip() for line in lines):
-            values = np.loadtxt(lines, delimiter=",").ravel()
-    except OSError as exc:
-        raise DataError(f"cannot read reference {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed number ({exc})") from None
-    if center_band is None and values.size:
-        center_band = int(np.argmax(values))
-    return ReferenceAtom(values, center_band=center_band)
 
 
 def _build_fsf(spec) -> FsfKernel:
@@ -231,7 +215,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pfa_bound(args) -> int:
-    reference = _load_reference(args.reference, args.center_band)
+    values = read_numbers(args.reference).ravel()
+    center = args.center_band
+    reference = ReferenceAtom(
+        values, int(np.argmax(values)) if center is None else center)
     try:
         m_lo, m_hi = (int(v) for v in args.m_range.split(".."))
     except ValueError:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 
 NORM_TOL = 1e-12
 
@@ -88,6 +88,12 @@ class ReferenceAtom:
     @property
     def length(self) -> int:
         return self.values.size
+
+    def unit_shift(self, shift: float) -> Optional[np.ndarray]:
+        """`sampled_shift` at unit norm; None if it leaves no support."""
+        vec = self.sampled_shift(shift)
+        norm = np.linalg.norm(vec)
+        return vec / norm if norm > NORM_TOL else None
 
     def sampled_shift(self, shift: float) -> np.ndarray:
         """Zero-padded shifted copy of the profile (not renormalized).
@@ -170,13 +176,13 @@ class Dictionary:
 
     @classmethod
     def load_csv(cls, path) -> "Dictionary":
-        with open(path) as fh:
-            try:
-                shifts = np.array(fh.readline().split(","), dtype=float)
-                atoms = np.array([row.split(",") for row in fh if row.strip()],
-                                 dtype=float)
-            except ValueError as exc:
-                raise DataError(f"{path}: malformed number ({exc})") from None
+        header, *rows = read_text(path).split("\n")
+        try:
+            shifts = np.array(header.split(","), dtype=float)
+            atoms = np.array([row.split(",") for row in rows if row.strip()],
+                             dtype=float)
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed number ({exc})") from None
         if atoms.shape[0] != shifts.size:
             raise DataError(f"{path}: header/atom row count mismatch")
         tau = float(np.max(np.abs(shifts))) if shifts.size else 0.0
@@ -195,7 +201,7 @@ def build_lss(reference: ReferenceAtom, m: int, tau: float, *,
               gram_tol: float = NORM_TOL) -> Dictionary:
     """Build the linearly-spaced-shift dictionary of size m over [-tau, tau].
 
-    Each atom is `reference.sampled_shift` at its grid shift: whole-band
+    Each atom is `reference.unit_shift` at its grid shift: whole-band
     shifts roll the samples, fractional ones resample the line profile.
     Atoms pushed partially off the sampled support are truncated and
     renormalized; an atom entirely off support raises
@@ -220,11 +226,10 @@ def build_lss(reference: ReferenceAtom, m: int, tau: float, *,
     shifts = lss_shift_grid(m, tau)
     atoms = np.empty((m, reference.length))
     for i, s in enumerate(shifts):
-        vec = reference.sampled_shift(s)
-        norm = np.linalg.norm(vec)
-        if norm <= NORM_TOL:
+        atom = reference.unit_shift(s)
+        if atom is None:
             raise DataError(f"atom vanished: shift {s:g} leaves no support")
-        atoms[i] = vec / norm
+        atoms[i] = atom
 
     if np.any(reference.values < 0):
         gram = np.vstack([atoms, reference.values[None, :]])
@@ -240,11 +245,8 @@ def build_lss(reference: ReferenceAtom, m: int, tau: float, *,
 def autocorrelation(reference: ReferenceAtom, shift: float) -> float:
     """Overlap <d, shift_u(d)> between the unit reference and its shifted,
     renormalized copy.  Out-of-support shifts return 0."""
-    vec = reference.sampled_shift(shift)
-    norm = np.linalg.norm(vec)
-    if norm <= NORM_TOL:
-        return 0.0
-    return float(reference.values @ (vec / norm))
+    atom = reference.unit_shift(shift)
+    return 0.0 if atom is None else float(reference.values @ atom)
 
 
 def expected_max_gain(reference: ReferenceAtom, m: int, tau: float,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the text-file reader.
 
 The CLI maps DataError to exit code 2 (bad input) and NumericError to
 exit code 3 (numerical failure).
@@ -12,3 +12,13 @@ class DataError(ValueError):
 class NumericError(ArithmeticError):
     """A numerical procedure failed: degenerate statistics, bracketing
     failure, violated monotonicity assumptions."""
+
+
+def read_text(path) -> str:
+    """Text of an input file; an unreadable or undecodable one is a
+    DataError naming it."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None

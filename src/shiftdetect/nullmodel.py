@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 from .teststat import TestField
 
 
@@ -50,16 +50,16 @@ class NullModel:
 
     @classmethod
     def load_csv(cls, path) -> "NullModel":
-        with open(path) as fh:
-            if fh.readline().strip() != "mu0_hat,pi0_hat,n0,n_fit":
-                raise DataError(f"{path}: not a NullModel CSV")
-            try:
-                mu0, pi0, n0, n_fit = fh.readline().split(",")
-                fields = (float(mu0), float(pi0), int(n0), int(n_fit),
-                          np.array(fh.read().split(), dtype=float))
-            except ValueError as exc:
-                raise DataError(f"{path}: malformed NullModel CSV ({exc})") \
-                    from None
+        header, values, pooled = (read_text(path) + "\n\n").split("\n", 2)
+        if header.strip() != "mu0_hat,pi0_hat,n0,n_fit":
+            raise DataError(f"{path}: not a NullModel CSV")
+        try:
+            mu0, pi0, n0, n_fit = values.split(",")
+            fields = (float(mu0), float(pi0), int(n0), int(n_fit),
+                      np.array(pooled.split(), dtype=float))
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed NullModel CSV ({exc})") \
+                from None
         return cls(*fields)
 
 

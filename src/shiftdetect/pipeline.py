@@ -17,11 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .dictionary import Dictionary, ReferenceAtom, build_lss
-from .errors import DataError
+from .errors import DataError, read_text
 from .fdr import DetectionResult, detect
 from .nullmodel import NullModel, fit_null
 from .similarity import SimilarityKind
-from .teststat import TestField, compute_field
+from .teststat import TestField, compute_field, masked_spectra
 
 _MAGIC = b"FDC1"
 _FLAG_VARIANCE = 0x1
@@ -82,6 +82,8 @@ class FsfKernel:
 def gaussian_fsf(size: int, sigma: float) -> FsfKernel:
     if size % 2 == 0:
         raise DataError("kernel size must be odd")
+    if not 0 < sigma < np.inf:     # written so that NaN fails too
+        raise DataError(f"kernel sigma must be positive and finite: {sigma}")
     r = np.arange(size) - size // 2
     g = np.exp(-0.5 * (r / sigma) ** 2)
     return FsfKernel(np.outer(g, g))
@@ -183,19 +185,26 @@ def load_cube(path, window=None) -> Cube:
 def read_key_values(path) -> dict:
     """Flat key=value file; blank lines and #-comments ignored."""
     conf = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise DataError(f"{path}:{lineno}: expected key=value")
-                conf[key.strip()] = value.strip()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise DataError(f"{path}:{lineno}: expected key=value")
+        conf[key.strip()] = value.strip()
     return conf
+
+
+def read_numbers(path) -> np.ndarray:
+    """The comma-separated numbers of a text file as a 2-d array."""
+    lines = read_text(path).split("\n")
+    if not any(line.partition("#")[0].strip() for line in lines):
+        raise DataError(f"{path}: no numbers")     # loadtxt would warn
+    try:
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_cube_csvdir(cube: Cube, dirpath) -> None:
@@ -208,11 +217,10 @@ def save_cube_csvdir(cube: Cube, dirpath) -> None:
                  f"band_origin={cube.band_origin}\n"
                  f"has_variance={int(cube.variance is not None)}\n")
     for b in range(l):
-        np.savetxt(os.path.join(dirpath, f"band{b:04d}.csv"),
-                   cube.data[:, :, b], fmt="%.17g", delimiter=",")
-        if cube.variance is not None:
-            np.savetxt(os.path.join(dirpath, f"variance{b:04d}.csv"),
-                       cube.variance[:, :, b], fmt="%.17g", delimiter=",")
+        for stem, block in (("band", cube.data), ("variance", cube.variance)):
+            if block is not None:
+                _write_grid(os.path.join(dirpath, f"{stem}{b:04d}.csv"),
+                            block[:, :, b])
 
 
 def load_cube_csvdir(dirpath, window=None) -> Cube:
@@ -232,15 +240,7 @@ def load_cube_csvdir(dirpath, window=None) -> Cube:
     for b in range(l):
         for stem, block in blocks.items():
             path = os.path.join(dirpath, f"{stem}{b:04d}.csv")
-            with open(path) as fh:
-                lines = fh.readlines()
-            if not any(line.partition("#")[0].strip() for line in lines):
-                raise DataError(f"{path}: no numbers, expected shape "
-                                f"{(n_y, n_x)}")    # loadtxt would warn
-            try:
-                values = np.loadtxt(lines, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise DataError(f"{path}: {exc}") from None
+            values = read_numbers(path)
             if values.shape != (n_y, n_x):
                 raise DataError(f"{path}: shape {values.shape}, expected "
                                 f"{(n_y, n_x)}")
@@ -253,24 +253,12 @@ def load_cube_csvdir(dirpath, window=None) -> Cube:
 
 
 def _check_nan_policy(cube: Cube) -> None:
-    """NaNs may only appear as whole masked spectra (and then in both data
-    and variance).  One whole-array screen clears NaN-free cubes."""
-    if not np.isnan(cube.data).any() and (
-            cube.variance is None or not np.isnan(cube.variance).any()):
-        return
-    flat = cube.data.reshape(-1, cube.shape[2])
-    counts = np.isnan(flat).sum(axis=1)
-    if np.any((counts > 0) & (counts < cube.shape[2])):
-        raise DataError("NaNs allowed only in fully masked pixels")
-    if cube.variance is not None:
-        vcounts = np.isnan(cube.variance.reshape(flat.shape)).sum(axis=1)
-        if np.any(vcounts != counts):
-            raise DataError("variance mask must match data mask")
-
-
-def masked_pixels(cube: Cube) -> np.ndarray:
-    """Boolean (n_y, n_x) map of all-NaN spectra."""
-    return np.isnan(cube.data).all(axis=2)
+    """NaNs may only appear as whole masked spectra (`masked_spectra`), the
+    same in data and variance.  NaN-free blocks cost one screen each."""
+    masked, var = masked_spectra(cube.data), cube.variance
+    if var is not None and (masked is not None or np.isnan(var).any()) \
+            and np.any(np.isnan(var) != np.isnan(cube.data)):
+        raise DataError("variance mask must match data mask")
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +280,7 @@ def preprocess(cube: Cube, fsf: Optional[FsfKernel] = None,
     noise stays symmetric.  Masked pixels pass through untouched.
     """
     from scipy import ndimage
+    masked = masked_spectra(cube.data)
     data = cube.data.copy()
     if baseline_window is not None:
         if baseline_window < 3 or baseline_window % 2 == 0:
@@ -316,7 +305,8 @@ def preprocess(cube: Cube, fsf: Optional[FsfKernel] = None,
         filled = np.where(np.isnan(data), 0.0, data)
         data = ndimage.convolve(filled, fsf.weights[:, :, None],
                                 mode="reflect")
-        data[masked_pixels(cube)] = np.nan
+        if masked is not None:
+            data[masked] = np.nan
     return Cube(data=data, variance=None, band_origin=cube.band_origin)
 
 
@@ -351,6 +341,8 @@ def estimate_reference(cube: Cube, region: RegionSpec,
         raise DataError("n_center_pixels must be >= 1")
     sub = extract(cube, region.box(region.half_width))
     flat = sub.data.reshape(-1, sub.shape[2])
+    if n_center_pixels > flat.shape[0]:
+        raise DataError("more center pixels than the test window holds")
     flux = np.where(np.isnan(flat).any(axis=1), -np.inf, flat.sum(axis=1))
     order = np.argsort(-flux, kind="stable")[:n_center_pixels]
     spectra = flat[order]
@@ -475,13 +467,18 @@ def write_pgm(path, values: np.ndarray, invert: bool = False) -> None:
         fh.write(img.tobytes())
 
 
+def _write_grid(path, values: np.ndarray) -> None:
+    """A 2-d array as CSV rows of %.17g numbers, the one grid format."""
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(row * values.shape[0] % tuple(values.ravel().tolist()))
+
+
 def write_maps(output: DetectionOutput, outdir, prefix: str = "map") -> None:
-    """CSV grid (`np.savetxt`'s %.17g bytes) plus PGM preview per map."""
+    """CSV grid (`_write_grid`) plus PGM preview per map."""
     os.makedirs(outdir, exist_ok=True)
     for name, values in output.maps.items():
         arr = values.astype(float)
-        row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
-        with open(os.path.join(outdir, f"{prefix}_{name}.csv"), "w") as fh:
-            fh.write(row * arr.shape[0] % tuple(arr.ravel().tolist()))
+        _write_grid(os.path.join(outdir, f"{prefix}_{name}.csv"), arr)
         write_pgm(os.path.join(outdir, f"{prefix}_{name}.pgm"), arr,
                   invert=name in ("pvalue", "qvalue"))

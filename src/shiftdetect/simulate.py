@@ -85,7 +85,6 @@ class SimConfig:
 
     n_y: int
     n_x: int
-    l: int
     noise: NoiseSpec
     dictionary: Dictionary
     pi0: float
@@ -98,8 +97,8 @@ class SimConfig:
     def __post_init__(self):
         if not (0.0 < self.pi0 <= 1.0):
             raise DataError("pi0 must lie in (0, 1]")
-        if self.l != self.dictionary.length:
-            raise DataError("dictionary length must match the band count")
+        if self.n_y < 1 or self.n_x < 1:
+            raise DataError(f"empty cube shape {self.n_y}x{self.n_x}")
         lo, hi = self.amplitude_range
         if not (0 <= lo <= hi):
             raise DataError("bad amplitude range")
@@ -115,6 +114,10 @@ class SimConfig:
     @property
     def n(self) -> int:
         return self.n_y * self.n_x
+
+    @property
+    def l(self) -> int:
+        return self.dictionary.length
 
 
 @dataclass(frozen=True)
@@ -179,11 +182,10 @@ def generate(config: SimConfig) -> tuple:
         shifts = rng.uniform(-tau, tau, size=n1)
         vecs = np.empty((n1, l))
         for i, u in enumerate(shifts):
-            v = ref.sampled_shift(u)
-            norm = np.linalg.norm(v)
-            if norm <= 0:
+            v = ref.unit_shift(u)
+            if v is None:   # a None row would be NaN, not an error
                 raise DataError("injected shift leaves no support")
-            vecs[i] = v / norm
+            vecs[i] = v
     if config.target_snr is not None and n1:
         energy = float(np.sum(amps ** 2))
         amps = amps * math.sqrt(signal_energy_for_snr(config,
@@ -330,9 +332,8 @@ def _sweep_replicate(task):
     # the same value gives fit and test cubes the same per-pixel
     # amplitude law
     fit_cfg = SimConfig(
-        n_y=fit_shape[0], n_x=fit_shape[1], l=dictionary.length,
-        noise=noise, dictionary=dictionary, pi0=pi0,
-        seed=_derived_seed(seed, snr_idx, rep, 0),
+        n_y=fit_shape[0], n_x=fit_shape[1], noise=noise, dictionary=dictionary,
+        pi0=pi0, seed=_derived_seed(seed, snr_idx, rep, 0),
         spatial_kernel=kernel, signal_atom=dictionary.m // 2,
         target_snr=snr_db)
     test_cfg = replace(fit_cfg, n_y=test_shape[0], n_x=test_shape[1],
@@ -421,9 +422,8 @@ def glr_contrast(dictionary: Dictionary, noise: NoiseSpec, q_list,
                                      seed=_derived_seed(seed, 0xca1))
     records = []
     for rep in range(runs):
-        cfg = SimConfig(n_y=50, n_x=50, l=dictionary.length,
-                        noise=noise, dictionary=dictionary, pi0=0.97,
-                        amplitude_range=(8.0, 12.0),
+        cfg = SimConfig(n_y=50, n_x=50, noise=noise, dictionary=dictionary,
+                        pi0=0.97, amplitude_range=(8.0, 12.0),
                         seed=_derived_seed(seed, rep),
                         signal_atom=dictionary.m // 2)
         fit_cfg = replace(cfg, n_y=200, n_x=200,

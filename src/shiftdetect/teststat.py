@@ -52,13 +52,24 @@ class TestField:
         return out
 
 
+def masked_spectra(data: np.ndarray) -> np.ndarray | None:
+    """The masked (all-NaN) spectra along the last axis of `data`, or None
+    when it holds no NaN; a spectrum partly NaN is an error."""
+    nan = np.isnan(data)
+    if not nan.any():
+        return None
+    counts = nan.sum(axis=-1)
+    if np.any((counts > 0) & (counts < data.shape[-1])):
+        raise DataError("NaNs allowed only in fully masked pixels")
+    return counts > 0
+
+
 def compute_field(cube, dictionary: Dictionary,
                   kind: SimilarityKind) -> TestField:
     """Max/min statistic and best-matching atom for every tested pixel.
 
     `cube` may be a pipeline Cube, a (n_y, n_x, l) array, or a (n, l) matrix
-    of spectra (treated as an (n, 1) grid).  Pixels whose spectrum is
-    entirely NaN are masked out; a partially-NaN spectrum is an error.
+    of spectra (treated as an (n, 1) grid); masked pixels are left out.
     Argmax ties break toward the lowest atom index; a NaN score counts as
     the maximum, as in `np.argmax`.  Max, min and argmax run over pixels of
     an atom-major copy of the `score_matrix` scores: exact order statistics,
@@ -77,11 +88,8 @@ def compute_field(cube, dictionary: Dictionary,
     n_y, n_x, l = data.shape
     flat = np.ascontiguousarray(data.reshape(-1, l))    # C rows for BLAS
     valid = np.arange(n_y * n_x)
-    if np.isnan(flat).any():    # per-pixel counts only when needed
-        nan_count = np.isnan(flat).sum(axis=1)
-        masked = nan_count == l
-        if np.any((nan_count > 0) & ~masked):
-            raise DataError("NaNs allowed only in fully masked pixels")
+    masked = masked_spectra(flat)
+    if masked is not None:
         valid = np.nonzero(~masked)[0]
         flat = flat[valid]
 

@@ -34,7 +34,7 @@ from tests.test_pfabound import mc_max_alpha
 
 SAD = SimilarityKind.SPECTRAL_ANGLE
 
-FIG2 = dict(l=30, noise=NoiseSpec("student", nu=5.0), pi0=0.81,
+FIG2 = dict(noise=NoiseSpec("student", nu=5.0), pi0=0.81,
             amplitude_range=(0.1, 3.0), signal_atom=7)
 
 
@@ -123,7 +123,7 @@ def threshold_comparison(dictionary, regions, seed):
                                    true_shifts=np.where(mask, 0.0, np.nan))
     metrics = defaultdict(list)
     for region in range(regions):
-        fit_cfg = SimConfig(n_y=200, n_x=200, l=dictionary.length,
+        fit_cfg = SimConfig(n_y=200, n_x=200,
                             noise=NoiseSpec("student", nu=5.0),
                             dictionary=dictionary, pi0=1.0,
                             seed=_derived_seed(seed, region, 0))

@@ -28,7 +28,7 @@ def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     ref = gaussian_line_reference(34, 17, 5.0)
     d = build_lss(ref, 15, 7.0)
-    cfg = SimConfig(n_y=240, n_x=240, l=34, noise=NoiseSpec("gaussian"),
+    cfg = SimConfig(n_y=240, n_x=240, noise=NoiseSpec("gaussian"),
                     dictionary=d, pi0=0.999, seed=3, signal_atom=7,
                     amplitude_range=(4.0, 7.0))
     cube, _ = generate(cfg)
@@ -37,6 +37,7 @@ def workdir(tmp_path_factory):
     save_cube(Cube(data=data, variance=variance), root / "raw.fdc")
     np.savetxt(root / "ref.csv", ref.values[None, :], fmt="%.17g",
                delimiter=",")
+    d.save_csv(root / "dict34.csv")
     return root
 
 
@@ -182,7 +183,7 @@ class TestPi0Modes:
         empirical plug-in at q = 0.2."""
         ref = gaussian_line_reference(34, 17, 5.0)
         d = build_lss(ref, 15, 7.0)
-        cfg = SimConfig(n_y=240, n_x=240, l=34, noise=NoiseSpec("gaussian"),
+        cfg = SimConfig(n_y=240, n_x=240, noise=NoiseSpec("gaussian"),
                         dictionary=d, pi0=0.85, seed=2, signal_atom=7,
                         amplitude_range=(0.5, 3.0))
         cube, _ = generate(cfg)
@@ -270,23 +271,55 @@ class TestMalformedNumbers:
         pytest.param(["pfa-bound", "--reference", "{conf}", "--tau", "2",
                       "--m-range", "2..3"], "# a comment only\n\n",
                      id="pfa-bound-reference-no-numbers"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}"],
+                     "ny=-1\n", id="simulate-ny-negative"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}"],
+                     "nx=0\n", id="simulate-nx-zero"),
+        pytest.param(["preprocess", "--cube", "{cube}", "--out", "{out}",
+                      "--fsf", "gaussian:0"], None,
+                     id="preprocess-fsf-gaussian-0"),
+        pytest.param(["preprocess", "--cube", "{cube}", "--out", "{out}",
+                      "--fsf", "gaussian:-1"], None,
+                     id="preprocess-fsf-gaussian-negative"),
+        # undecodable input: the error line names the file
+        pytest.param(["ingest", "--input", "{csvdir}", "--output", "{out}"],
+                     small_csvdir(**{"band0001.csv": b"\xff\xfe"}),
+                     id="ingest-csvdir-band-undecodable"),
+        pytest.param(["ingest", "--input", "{csvdir}", "--output", "{out}"],
+                     small_csvdir(**{"meta.txt": b"\xff\xfe"}),
+                     id="ingest-csvdir-meta-undecodable"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}"],
+                     b"\xff\xfe", id="simulate-config-undecodable"),
+        pytest.param(["detect", "--cube", "{cube}", "--center", "120,120,17",
+                      "--half-bands", "17", "--dict-in", "{dict}",
+                      "--model", "{conf}", "--out", "{out}"],
+                     b"mu0_hat,pi0_hat,n0,n_fit\r\n\xff\xfe\r\n",
+                     id="detect-model-body-undecodable"),
     ])
     def test_exits_2(self, workdir, tmp_path, capsys, argv, config):
-        """`config` is the text of a config (or reference) file, or the
-        files of a CSV cube.  The error line is all that stderr gets."""
+        """`config` is the text or bytes of a config (or reference or
+        model) file, or the files of a CSV cube.  The error line is all
+        that stderr gets, and it names each file given as bytes."""
         conf, csvdir = tmp_path / "bad.conf", tmp_path / "cube"
+        files = {conf: config}
         if isinstance(config, dict):
             csvdir.mkdir()
-            for name, text in config.items():
-                (csvdir / name).write_text(text)
-        elif config is not None:
-            conf.write_text(config)
+            files = {csvdir / name: data for name, data in config.items()}
+        for path, content in files.items():
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            elif content is not None:
+                path.write_text(content)
         paths = dict(ref=workdir / "ref.csv", cube=workdir / "raw.fdc",
-                     out=tmp_path / "out", conf=conf, csvdir=csvdir)
+                     dict=workdir / "dict34.csv", out=tmp_path / "out",
+                     conf=conf, csvdir=csvdir)
         capsys.readouterr()
         assert run(*[a.format(**paths) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        for path, content in files.items():
+            if isinstance(content, bytes):
+                assert str(path) in err, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -462,3 +495,32 @@ def test_startup_and_io_commands_load_no_scipy(workdir, tmp_path):
     assert layers <= set(report["package"])
     assert report["codes"] == [0] * len(calls)
     assert report["main"] == []
+
+
+# Run in a fresh interpreter, importing nothing beyond numpy first: the
+# modules that importing the CLI and building its parser add.
+IMPORT_PROBE = """
+import sys
+import numpy
+before = set(sys.modules)
+import shiftdetect.cli
+shiftdetect.cli.build_parser()
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+# Every CLI process pays for these; a new module-level import (`logging`,
+# `json`, ...) would add its import time to every command.
+STARTUP_MODULES = {"__future__", "_csv", "_decimal", "_locale", "argparse",
+                   "copy", "csv", "dataclasses", "decimal", "fractions",
+                   "gettext", "locale", "mmap"}
+
+
+def test_startup_adds_no_module_beyond_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = {m for m in proc.stdout.split()
+             if m.split(".")[0] != "shiftdetect"}
+    assert added <= STARTUP_MODULES, added - STARTUP_MODULES

@@ -35,6 +35,19 @@ class TestReferenceAtom:
         with pytest.raises(DataError):
             ReferenceAtom(np.array([1.0]), center_band=0)
 
+    @pytest.mark.parametrize("shift", [0.0, 3.0, -2.5, 17.9])
+    def test_unit_shift_is_the_normalized_sampled_shift(self,
+                                                        gauss_reference,
+                                                        shift):
+        vec = gauss_reference.sampled_shift(shift)
+        atom = gauss_reference.unit_shift(shift)
+        assert atom.tobytes() == (vec / np.linalg.norm(vec)).tobytes()
+
+    def test_unit_shift_off_support_is_none(self):
+        ref = gaussian_line_reference(30, 15, 5.0, 6.0)
+        assert ref.unit_shift(40.0) is None
+        assert ref.unit_shift(-40.0) is None
+
 
 class TestBuildLss:
     def test_shift_grid(self):
@@ -224,6 +237,15 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("1,2,3\n")
         with pytest.raises(DataError):
+            Dictionary.load_csv(path)
+
+    @pytest.mark.parametrize("content", [None, b"0,1\r\n\xff\xfe\r\n"],
+                             ids=["missing", "undecodable"])
+    def test_unreadable_file_names_it(self, tmp_path, content):
+        path = tmp_path / "dict.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError, match="cannot read .*dict.csv"):
             Dictionary.load_csv(path)
 
     @pytest.mark.parametrize("edit", [

@@ -182,10 +182,10 @@ class TestDetect:
 
     def test_detect_on_separate_test_field(self, line_dictionary, rng):
         from shiftdetect.simulate import NoiseSpec, SimConfig, generate
-        fit_cfg = SimConfig(n_y=80, n_x=80, l=30,
+        fit_cfg = SimConfig(n_y=80, n_x=80,
                             noise=NoiseSpec("gaussian"),
                             dictionary=line_dictionary, pi0=1.0, seed=5)
-        test_cfg = SimConfig(n_y=20, n_x=20, l=30,
+        test_cfg = SimConfig(n_y=20, n_x=20,
                              noise=NoiseSpec("gaussian"),
                              dictionary=line_dictionary, pi0=1.0, seed=6)
         fit_cube, _ = generate(fit_cfg)

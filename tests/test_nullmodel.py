@@ -105,7 +105,7 @@ class TestFitNull:
                                           _derived_seed)
         pi0s = []
         for rep in range(200):
-            cfg = SimConfig(n_y=50, n_x=50, l=30,
+            cfg = SimConfig(n_y=50, n_x=50,
                             noise=NoiseSpec("student", nu=5.0),
                             dictionary=line_dictionary, pi0=0.81,
                             amplitude_range=(0.1, 3.0),
@@ -225,7 +225,7 @@ class TestConsistencyAtScale:
         # within KS distance 0.02 of a 1e5-run Monte-Carlo oracle of the
         # max-statistic null law
         from shiftdetect.simulate import NoiseSpec, SimConfig, generate
-        cfg = SimConfig(n_y=200, n_x=200, l=30,
+        cfg = SimConfig(n_y=200, n_x=200,
                         noise=NoiseSpec("student", nu=5.0),
                         dictionary=line_dictionary, pi0=1.0, seed=12345)
         cube, _ = generate(cfg)
@@ -275,6 +275,24 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("nope\n1,2\n")
         with pytest.raises(DataError):
+            NullModel.load_csv(path)
+
+    @pytest.mark.parametrize("text", ["mu0_hat,pi0_hat,n0,n_fit",
+                                      "mu0_hat,pi0_hat,n0,n_fit\r\n"])
+    def test_load_rejects_header_only(self, tmp_path, text):
+        path = tmp_path / "model.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="malformed NullModel CSV"):
+            NullModel.load_csv(path)
+
+    @pytest.mark.parametrize("content", [
+        None, b"mu0_hat,pi0_hat,n0,n_fit\r\n\xff\xfe\r\n"],
+        ids=["missing", "undecodable"])
+    def test_unreadable_file_names_it(self, tmp_path, content):
+        path = tmp_path / "model.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError, match="cannot read .*model.csv"):
             NullModel.load_csv(path)
 
     @settings(max_examples=150, deadline=None)

@@ -14,11 +14,12 @@ from shiftdetect.nullmodel import NullModel
 from shiftdetect.pipeline import (Cube, DictionaryParams, FsfKernel,
                                   RegionSpec, _check_nan_policy, _nanmedian,
                                   estimate_reference, extract, gaussian_fsf,
-                                  load_cube, load_cube_csvdir, masked_pixels,
-                                  preprocess, run_detection, save_cube,
-                                  save_cube_csvdir, write_maps, write_pgm)
+                                  load_cube, load_cube_csvdir, preprocess,
+                                  run_detection, save_cube, save_cube_csvdir,
+                                  write_maps, write_pgm)
 from shiftdetect.similarity import SimilarityKind
 from shiftdetect.simulate import NoiseSpec, SimConfig, generate
+from shiftdetect.teststat import masked_spectra
 
 from oracles import (check_nan_policy_per_pixel, equal_up_to_zero_sign,
                      standardize_nanmedian)
@@ -256,6 +257,12 @@ class TestCsvDirIO:
         with pytest.raises(DataError):
             load_cube_csvdir(tmp_path)
 
+    def test_missing_band_names_the_file(self, rng, tmp_path):
+        save_cube_csvdir(random_cube(rng), tmp_path)
+        (tmp_path / "band0002.csv").unlink()
+        with pytest.raises(DataError, match="cannot read .*band0002.csv"):
+            load_cube_csvdir(tmp_path)
+
 
 class TestPreprocess:
     def test_standardizes_bands(self, rng):
@@ -318,8 +325,8 @@ class TestPreprocess:
         out = preprocess(cube, use_variance=False,
                          fsf=FsfKernel(np.ones((3, 3))))
         assert np.isnan(out.data[3, 3]).all()
-        assert masked_pixels(out)[3, 3]
-        assert masked_pixels(out).sum() == 1
+        assert masked_spectra(out.data)[3, 3]
+        assert masked_spectra(out.data).sum() == 1
 
     def test_symmetry_preserved(self, rng):
         # preprocessing keeps symmetric noise symmetric: sign balance and
@@ -403,6 +410,11 @@ class TestFsfKernel:
         assert k.weights.shape == (5, 5)
         assert k.weights[2, 2] == k.weights.max()
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_gaussian_sigma_must_be_positive_finite(self, sigma):
+        with pytest.raises(DataError, match="sigma"):
+            gaussian_fsf(5, sigma)
+
 
 class TestRegions:
     def test_window_outside_cube(self, rng):
@@ -464,11 +476,22 @@ class TestEstimateReference:
         assert np.array_equal(np.flatnonzero(m1), np.arange(5))
         assert np.array_equal(m1, m2)
 
+    def test_more_center_pixels_than_the_window_holds(self):
+        # the 8x8 test window holds 64 pixels: all may be averaged, not 65
+        data = np.ones((10, 10, 30))
+        region = RegionSpec(center_y=5, center_x=5, center_band=15,
+                            half_width=4, half_bands=15, fit_half_width=5)
+        _, mask = estimate_reference(Cube(data=data), region,
+                                     n_center_pixels=64)
+        assert mask.all()
+        with pytest.raises(DataError, match="test window holds"):
+            estimate_reference(Cube(data=data), region, n_center_pixels=65)
+
 
 def synthetic_halo_cube(line_dictionary, seed, amplitude=1.2):
     """Noise cube with a bright core and a weaker extended halo injected on
     the central dictionary atom."""
-    cfg = SimConfig(n_y=240, n_x=240, l=30, noise=NoiseSpec("gaussian"),
+    cfg = SimConfig(n_y=240, n_x=240, noise=NoiseSpec("gaussian"),
                     dictionary=line_dictionary, pi0=1.0, seed=seed)
     cube, _ = generate(cfg)
     data = cube.data.copy()
@@ -518,7 +541,7 @@ class TestRunDetection:
         assert np.mean(powers) > 0.5
 
     def test_noise_only_region_near_empty(self, line_dictionary):
-        cfg = SimConfig(n_y=240, n_x=240, l=30, noise=NoiseSpec("gaussian"),
+        cfg = SimConfig(n_y=240, n_x=240, noise=NoiseSpec("gaussian"),
                         dictionary=line_dictionary, pi0=1.0, seed=91)
         cube, _ = generate(cfg)
         region = RegionSpec(center_y=120, center_x=120, center_band=15,
@@ -596,7 +619,8 @@ class TestMapOutput:
                            elements=st.floats(width=64)))
     def test_csv_bytes_equal_savetxt(self, tmp_path_factory, grid):
         # NaN cells (untested pixels), infinities, signed zeros, subnormals
-        # and boolean maps all print as np.savetxt prints them
+        # and boolean maps all print as np.savetxt prints them, in the maps
+        # and in the bands of a CSV-per-band cube
         root = tmp_path_factory.mktemp("maps")
         maps = {"pvalue": grid, "detected": ~np.isnan(grid) & (grid > 0)}
         write_maps(SimpleNamespace(maps=maps), root)
@@ -605,6 +629,14 @@ class TestMapOutput:
                        fmt="%.17g", delimiter=",")
             assert (root / f"map_{name}.csv").read_bytes() == \
                 (root / f"{name}.csv").read_bytes()
+        # the cube's bands are the grid and its negation
+        bands = np.stack([grid, -grid], axis=2)
+        save_cube_csvdir(Cube(data=bands), root / "cube")
+        for b in range(2):
+            np.savetxt(root / f"band{b}.csv", bands[:, :, b], fmt="%.17g",
+                       delimiter=",")
+            assert (root / "cube" / f"band{b:04d}.csv").read_bytes() == \
+                (root / f"band{b}.csv").read_bytes()
 
     def test_pgm_handles_nan(self, tmp_path):
         arr = np.array([[0.0, np.nan], [0.5, 1.0]])

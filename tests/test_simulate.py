@@ -23,7 +23,7 @@ MF = SimilarityKind.MATCHED_FILTER
 
 
 def base_config(dictionary, **kw):
-    defaults = dict(n_y=40, n_x=40, l=30, noise=NoiseSpec("student", nu=5.0),
+    defaults = dict(n_y=40, n_x=40, noise=NoiseSpec("student", nu=5.0),
                     dictionary=dictionary, pi0=0.81,
                     amplitude_range=(0.1, 3.0), seed=11, signal_atom=7)
     defaults.update(kw)
@@ -257,8 +257,15 @@ class TestSimConfigValidation:
             base_config(line_dictionary, pi0=0.0)
 
     def test_band_mismatch(self, line_dictionary):
-        with pytest.raises(DataError):
+        # the band count is the dictionary's; no other can be given
+        assert base_config(line_dictionary).l == line_dictionary.length
+        with pytest.raises(TypeError):
             base_config(line_dictionary, l=29)
+
+    @pytest.mark.parametrize("shape", [(0, 40), (40, 0), (-1, 40)])
+    def test_cube_shape_positive(self, line_dictionary, shape):
+        with pytest.raises(DataError, match="empty cube shape"):
+            base_config(line_dictionary, n_y=shape[0], n_x=shape[1])
 
     def test_signal_atom_range(self, line_dictionary):
         with pytest.raises(DataError):
