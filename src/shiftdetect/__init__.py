@@ -11,7 +11,7 @@ from .dictionary import (Dictionary, GaussianLineModel, ReferenceAtom,
                          gaussian_line_reference, lss_shift_grid)
 from .errors import DataError, NumericError
 from .fdr import DetectionResult, bh_reject, detect, qvalues, storey_pi0
-from .nullmodel import NullModel, empirical_pvalues, fit_null, null_cdf
+from .nullmodel import NullModel, empirical_pvalues, fit_null
 from .pfabound import (normal_cdf_2d, normal_cdf_3d, pfa_bound,
                        pfa_exact_orthogonal, threshold_for_pfa)
 from .pipeline import (Cube, DetectionOutput, DictionaryParams, FsfKernel,
@@ -41,7 +41,7 @@ __all__ = [
     "fit_null", "gaussian_fsf",
     "gaussian_line_reference", "generate", "glr_contrast", "glr_field",
     "glr_pvalues", "load_cube", "load_cube_csvdir",
-    "lss_shift_grid", "normal_cdf_2d", "normal_cdf_3d", "null_cdf",
+    "lss_shift_grid", "normal_cdf_2d", "normal_cdf_3d",
     "pfa_bound", "pfa_exact_orthogonal", "preprocess", "qvalues",
     "run_detection", "save_cube", "save_cube_csvdir", "score", "snr",
     "storey_pi0", "threshold_for_pfa", "uniform_kernel",

@@ -153,17 +153,13 @@ def cmd_null_fit(args) -> int:
 
 def cmd_detect(args) -> int:
     cube, region, params, kind, dictionary = _fit_inputs(args)
-    pi0_mode, _, z = args.pi0.partition(":")
-    if pi0_mode not in ("empirical", "one", "storey") \
-            or (z and pi0_mode != "storey"):
-        raise DataError(f"unknown --pi0 {args.pi0!r}")
-    zeta = _number(z or 0.5, float, "--pi0 storey:<zeta>")
     model = NullModel.load_csv(args.model) if args.model else None
     output = run_detection(cube, region, params, q=args.q,
                            kind=kind, dictionary=dictionary, model=model,
-                           pi0_mode=pi0_mode, zeta=zeta)
+                           pi0=args.pi0)
     write_maps(output, args.out)
-    print(f"detections at q={args.q:g}: {output.result.k_hat} of "
+    print(f"detections at q={args.q:g}: "
+          f"{np.count_nonzero(output.maps['detected'])} of "
           f"{output.field.n} tested pixels -> {args.out}")
     return 0
 
@@ -215,6 +211,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pfa_bound(args) -> int:
+    # the m = 1 row prints the amplitude itself
+    if not 0 <= args.amplitude < np.inf:
+        raise DataError(f"--amplitude must be finite and >= 0, "
+                        f"got {args.amplitude}")
     values = read_numbers(args.reference).ravel()
     center = args.center_band
     reference = ReferenceAtom(

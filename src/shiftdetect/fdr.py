@@ -1,9 +1,10 @@
-"""FDR-controlled decisions: step-up procedure, null-proportion plug-in,
-q-values."""
+"""FDR-controlled decisions: one sort of the p-values gives the q-values
+and the step-up decision at every level; `detect` alone reads the
+null-proportion plug-in from its spec string."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -16,21 +17,13 @@ from .teststat import TestField
 @dataclass(frozen=True)
 class DetectionResult:
     """Per-pixel p-values and q-values, the plug-in pi0 and the stable sort
-    order of the p-values, with the decision at nominal_q; `detected_at`
-    reuses the order to decide at any other level.  Built by `_decide`."""
+    order of the p-values; `detected_at` reads the decision at any level
+    from that one sort.  Built by `_decide`."""
 
     pvalues: np.ndarray
     qvalues: np.ndarray
-    nominal_q: float
     pi0: float
     order: np.ndarray
-    detected: np.ndarray = field(init=False)
-    k_hat: int = field(init=False)
-
-    def __post_init__(self):
-        detected = self.detected_at(self.nominal_q)
-        object.__setattr__(self, "detected", detected)
-        object.__setattr__(self, "k_hat", int(np.count_nonzero(detected)))
 
     def detected_at(self, level: float) -> np.ndarray:
         """The step-up rule at min(level/pi0, 1): reject the k_hat smallest
@@ -50,9 +43,9 @@ class DetectionResult:
         return self.pvalues <= ps[passing[-1]]
 
 
-def _decide(p: np.ndarray, pi0: float, q: float) -> DetectionResult:
-    """The one decision path: sort p once, q-values with pi0, and the
-    step-up decision at q (see `DetectionResult.detected_at`)."""
+def _decide(p: np.ndarray, pi0: float) -> DetectionResult:
+    """The one decision path: sort p once and take the q-values with pi0;
+    the result decides at any level (see `DetectionResult.detected_at`)."""
     if not (0.0 < pi0 <= 1.0):
         raise DataError("pi0 must lie in (0, 1]")
     order = np.argsort(p, kind="stable")
@@ -60,21 +53,18 @@ def _decide(p: np.ndarray, pi0: float, q: float) -> DetectionResult:
     raw = pi0 * p[order] * n / np.arange(1, n + 1)
     qv = np.empty(n)
     qv[order] = np.minimum(np.minimum.accumulate(raw[::-1])[::-1], 1.0)
-    return DetectionResult(p, qv, q, pi0, order)
+    return DetectionResult(p, qv, pi0, order)
 
 
-def bh_reject(pvalues, q: float) -> DetectionResult:
-    """Step-up procedure at level q in [0, 1): reject the k_hat smallest
-    p-values, k_hat = max{k : p_(k) <= q*k/n} (with p_(0) = 0, so k_hat may
-    be 0).  q = 0 rejects nothing, as in `detect`.
-
-    Tied p-values are rejected or kept together.  This is the plain
-    procedure: q-values in the result and its `detected_at` use pi0 = 1.
-    """
+def bh_reject(pvalues) -> DetectionResult:
+    """The plain step-up procedure (pi0 = 1): at level q, `detected_at(q)`
+    rejects the k_hat smallest p-values, k_hat = max{k : p_(k) <= q*k/n}
+    (with p_(0) = 0, so k_hat may be 0).  Tied p-values are rejected or
+    kept together."""
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DataError("pvalues must be a non-empty 1-d vector")
-    return _decide(p, 1.0, q)
+    return _decide(p, 1.0)
 
 
 def qvalues(pvalues, pi0: float = 1.0) -> np.ndarray:
@@ -82,7 +72,7 @@ def qvalues(pvalues, pi0: float = 1.0) -> np.ndarray:
     running minimum (from the largest p downward) of pi0 * p_(k) * n / k,
     clipped to [0, 1].  A q-value of 0 is an infimum: level 0 rejects
     nothing."""
-    return _decide(np.asarray(pvalues, dtype=float), pi0, 0.0).qvalues
+    return _decide(np.asarray(pvalues, dtype=float), pi0).qvalues
 
 
 def storey_pi0(pvalues, zeta) -> float:
@@ -112,25 +102,28 @@ def storey_pi0(pvalues, zeta) -> float:
     return float(min(estimate, Fraction(1)))
 
 
-def detect(model: NullModel, field: TestField, q: float,
-           pi0_mode: str = "empirical", zeta: float = 0.5) -> DetectionResult:
-    """Full decision pipeline: empirical p-values from the fitted null, then
-    the step-up procedure at the plug-in level q / pi0 (capped at 1).
+def detect(model: NullModel, field: TestField,
+           pi0: str = "empirical") -> DetectionResult:
+    """Empirical p-values from the fitted null, sorted once; the result's
+    `detected_at(q)` is the step-up rule at the plug-in level q / pi0
+    (capped at 1), and its q-values use the same pi0.
 
-    pi0_mode selects the plug-in: "empirical" (the null model's estimate,
-    the default procedure), "storey:<zeta>"-style via pi0_mode="storey",
-    or "one" (no correction).  q-values use the same pi0.  The p-values
-    are computed and sorted once; `detected_at(level)` on the result gives
-    the decision at any other level, equal to detect(..., level).detected.
-    q = 0 rejects nothing.
+    pi0 names the plug-in: "empirical" (the null model's pi0_hat, the
+    default procedure), "one" (no correction), or Storey's estimate at
+    zeta = 1/2 ("storey") or at a given zeta ("storey:<zeta>").  Any other
+    text is a DataError.
     """
     p = empirical_pvalues(model, field)
-    if pi0_mode == "empirical":
-        pi0 = model.pi0_hat
-    elif pi0_mode == "storey":
-        pi0 = storey_pi0(p, zeta)
-    elif pi0_mode == "one":
-        pi0 = 1.0
-    else:
-        raise DataError(f"unknown pi0_mode {pi0_mode!r}")
-    return _decide(p, pi0, q)
+    if pi0 == "empirical":
+        return _decide(p, model.pi0_hat)
+    if pi0 == "one":
+        return _decide(p, 1.0)
+    mode, colon, zeta = pi0.partition(":")
+    try:
+        zeta = float(zeta) if colon else 0.5
+    except ValueError:
+        mode = None
+    if mode != "storey":
+        raise DataError(f"pi0 must be empirical, one, storey or "
+                        f"storey:<zeta>, got {pi0!r}")
+    return _decide(p, storey_pi0(p, zeta))

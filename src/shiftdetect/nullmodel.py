@@ -102,14 +102,6 @@ def fit_null(field: TestField) -> NullModel:
                      pooled=pooled)
 
 
-def null_cdf(model: NullModel, t) -> np.ndarray | float:
-    """Empirical null CDF (right-continuous step function, <= counts)."""
-    t = np.asarray(t, dtype=float)
-    counts = np.searchsorted(model.pooled, t, side="right")
-    out = counts / (2 * model.n0)
-    return float(out) if out.ndim == 0 else out
-
-
 def empirical_pvalues(model: NullModel, field) -> np.ndarray:
     """Right-tail p-values 1 - F0_hat(tmax) for a field (or an array of
     statistics), possibly different from the field the model was fit on.

@@ -409,27 +409,25 @@ def run_detection(cube: Cube, region: RegionSpec,
                   kind: SimilarityKind = SimilarityKind.SPECTRAL_ANGLE,
                   dictionary: Optional[Dictionary] = None,
                   model: Optional[NullModel] = None,
-                  pi0_mode: str = "empirical",
-                  zeta: float = 0.5) -> DetectionOutput:
+                  pi0: str = "empirical") -> DetectionOutput:
     """Full decision workflow on one spatial-spectral neighborhood.
 
     Builds the shift dictionary and fits the null model (see `fit_region`),
-    computes p/q-values on the test window and applies the plug-in step-up
-    rule at level q, with the null proportion chosen by pi0_mode and zeta
-    (see `detect`).  Output maps hold the p-values, q-values, the decision
-    at q, the decision sets at the standard overlay levels, and (when the
+    computes p/q-values on the test window with the null-proportion
+    plug-in named by pi0 (see `detect`), and reads the step-up decision at
+    q and at the standard overlay levels from that one result.  Output
+    maps hold the p-values, q-values, those decisions, and (when the
     reference was estimated here) a flag map of the pixels that defined it.
-    Every map comes from one decision on the test field.
     """
     dictionary, model, ref_mask = fit_region(cube, region, dict_params,
                                              kind, dictionary, model)
     test_field = compute_field(extract(cube, region.box(region.half_width)),
                                dictionary, kind)
-    result = detect(model, test_field, q, pi0_mode, zeta)
+    result = detect(model, test_field, pi0)
     maps = {
         "pvalue": test_field.to_map(result.pvalues),
         "qvalue": test_field.to_map(result.qvalues),
-        "detected": test_field.to_map(result.detected),
+        "detected": test_field.to_map(result.detected_at(q)),
         "argmax_atom": test_field.to_map(test_field.argmax_atom),
         "best_shift": test_field.to_map(
             dictionary.shifts[test_field.argmax_atom]),

@@ -78,9 +78,9 @@ class SimConfig:
 
     signal_atom selects a fixed dictionary atom for every contaminated
     pixel; None draws an independent uniform shift on [-tau, tau] per pixel
-    (which needs the dictionary's reference).  target_snr, when
-    set, rescales the drawn amplitudes so the realized total signal energy
-    matches 10 log10(A / (n l sigma^2)) = target_snr.
+    (which needs the dictionary's reference).  target_snr, when set,
+    must be finite; it rescales the drawn amplitudes so the realized total
+    signal energy matches 10 log10(A / (n l sigma^2)) = target_snr.
     """
 
     n_y: int
@@ -110,6 +110,9 @@ class SimConfig:
         if self.signal_atom is not None and not (
                 0 <= self.signal_atom < self.dictionary.m):
             raise DataError("signal_atom out of range")
+        if self.target_snr is not None and not math.isfinite(
+                self.target_snr):
+            raise DataError(f"target_snr must be finite: {self.target_snr}")
 
     @property
     def n(self) -> int:
@@ -343,7 +346,7 @@ def _sweep_replicate(task):
     model = fit_null(compute_field(fit_cube, dictionary, kind))
     test_field = compute_field(test_cube, dictionary, kind)
     # one decision per field; every level reads from it
-    result = detect(model, test_field, 0.0)
+    result = detect(model, test_field)
     out = []
     for q in q_list:
         m = score(test_field.to_map(result.detected_at(q)), truth)
@@ -375,6 +378,10 @@ def fdr_snr_sweep(dictionary: Dictionary, snr_list, q_list, runs: int,
     """
     if runs < 1:
         raise DataError(f"runs must be >= 1, got {runs}")
+    if len(snr_list) == 0 or len(q_list) == 0:
+        raise DataError("snr_list and q_list must be non-empty")
+    if threads < 1:
+        raise DataError(f"threads must be >= 1, got {threads}")
     tasks = [(dictionary, noise, pi0, kernel, kind, seed, snr_idx, snr_db,
               rep, fit_shape, test_shape, tuple(q_list))
              for snr_idx, snr_db in enumerate(snr_list)
@@ -418,6 +425,8 @@ def glr_contrast(dictionary: Dictionary, noise: NoiseSpec, q_list,
     """
     if runs < 1:
         raise DataError(f"runs must be >= 1, got {runs}")
+    if len(q_list) == 0:
+        raise DataError("q_list must be non-empty")
     null_sample = calibrate_glr_null(dictionary, 10 ** 4,
                                      seed=_derived_seed(seed, 0xca1))
     records = []
@@ -438,8 +447,8 @@ def glr_contrast(dictionary: Dictionary, noise: NoiseSpec, q_list,
                                               null_sample)
         g_stats = glr_field(cube, dictionary, sigma_diag)
         # one decision per field; every level reads from it
-        res = detect(model, field, 0.0)
-        g_res = bh_reject(glr_pvalues(g_stats, null_sample), 0.0)
+        res = detect(model, field)
+        g_res = bh_reject(glr_pvalues(g_stats, null_sample))
         for q in q_list:
             for method, detected in (
                     ("maxtest", field.to_map(res.detected_at(q))),

@@ -229,6 +229,9 @@ class TestMalformedNumbers:
         pytest.param(["detect", "--cube", "{cube}", "--center", "120,120,17",
                       "--pi0", "storey:x", "--out", "{out}"], None,
                      id="detect-pi0-storey-x"),
+        pytest.param(["detect", "--cube", "{cube}", "--center", "120,120,17",
+                      "--pi0", "empirical:", "--out", "{out}"], None,
+                     id="detect-pi0-empirical-colon"),
         pytest.param(["detect", "--cube", "{cube}", "--center", "120,120,x",
                       "--out", "{out}"], None, id="detect-center-x"),
         pytest.param(["preprocess", "--cube", "{cube}", "--out", "{out}",
@@ -295,6 +298,32 @@ class TestMalformedNumbers:
                       "--model", "{conf}", "--out", "{out}"],
                      b"mu0_hat,pi0_hat,n0,n_fit\r\n\xff\xfe\r\n",
                      id="detect-model-body-undecodable"),
+        pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "2",
+                      "--m-range", "1..3", "--amplitude", "nan"], None,
+                     id="pfa-bound-amplitude-nan"),
+        pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "2",
+                      "--m-range", "1..3", "--amplitude", "inf"], None,
+                     id="pfa-bound-amplitude-inf"),
+        pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "2",
+                      "--m-range", "1..3", "--amplitude=-2"], None,
+                     id="pfa-bound-amplitude-negative"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}",
+                      "--runs", "1"], "snr_list=nan\n", id="simulate-snr-nan"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}",
+                      "--runs", "1"], "snr_list=inf\n", id="simulate-snr-inf"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}",
+                      "--runs", "1"], "snr_list=\n",
+                     id="simulate-snr-list-empty"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}",
+                      "--runs", "1"], "q_list=\n", id="simulate-q-list-empty"),
+        pytest.param(["glr-compare", "--q-grid", "", "--runs", "1",
+                      "--out", "{out}"], None, id="glr-compare-q-grid-empty"),
+        pytest.param(["--threads", "0", "simulate", "--config", "{conf}",
+                      "--out", "{out}", "--runs", "1"], "",
+                     id="simulate-threads-0"),
+        pytest.param(["--threads", "-1", "simulate", "--config", "{conf}",
+                      "--out", "{out}", "--runs", "1"], "",
+                     id="simulate-threads-negative"),
     ])
     def test_exits_2(self, workdir, tmp_path, capsys, argv, config):
         """`config` is the text or bytes of a config (or reference or

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -26,19 +27,19 @@ def bh_bruteforce(pvalues, q):
 class TestBhReject:
     def test_hand_example(self):
         # thresholds q*k/n = (0.0167, 0.0333, 0.05); only 0.001 passes
-        res = bh_reject(np.array([0.001, 0.2, 0.9]), 0.05)
-        assert res.k_hat == 1
-        assert list(res.detected) == [True, False, False]
+        det = bh_reject(np.array([0.001, 0.2, 0.9])).detected_at(0.05)
+        assert np.count_nonzero(det) == 1
+        assert list(det) == [True, False, False]
 
     def test_all_ones_rejects_nothing(self):
-        res = bh_reject(np.ones(7), 0.1)
-        assert res.k_hat == 0
-        assert not res.detected.any()
+        det = bh_reject(np.ones(7)).detected_at(0.1)
+        assert np.count_nonzero(det) == 0
+        assert not det.any()
 
     def test_all_zero_rejects_everything(self):
-        res = bh_reject(np.zeros(7), 0.1)
-        assert res.k_hat == 7
-        assert res.detected.all()
+        det = bh_reject(np.zeros(7)).detected_at(0.1)
+        assert np.count_nonzero(det) == 7
+        assert det.all()
 
     def test_matches_bruteforce_on_random_vectors(self, rng):
         for trial in range(1000):
@@ -47,29 +48,28 @@ class TestBhReject:
             if trial % 3 == 0:  # inject ties
                 p = np.round(p, 1)
             q = float(rng.random())
-            res = bh_reject(p, q)
-            assert res.k_hat == bh_bruteforce(p, q), (p, q)
+            det = bh_reject(p).detected_at(q)
+            assert np.count_nonzero(det) == bh_bruteforce(p, q), (p, q)
 
     def test_ties_rejected_together(self):
         p = np.array([0.01, 0.01, 0.01, 0.8])
-        res = bh_reject(p, 0.05)
-        assert res.detected[:3].all()
+        assert bh_reject(p).detected_at(0.05)[:3].all()
 
     def test_monotone_in_q(self, rng):
         p = rng.random(100) ** 2
         prev = np.zeros(100, dtype=bool)
         for q in (0.01, 0.05, 0.1, 0.2, 0.5):
-            det = bh_reject(p, q).detected
+            det = bh_reject(p).detected_at(q)
             assert np.all(det | ~prev)  # grows with q
             prev = det
 
     def test_bad_inputs(self):
         with pytest.raises(DataError):
-            bh_reject(np.array([]), 0.1)
+            bh_reject(np.array([]))
         with pytest.raises(DataError):
-            bh_reject(np.array([0.5]), 1.5)
+            bh_reject(np.array([0.5])).detected_at(1.5)
         with pytest.raises(DataError):  # detect's domain: q in [0, 1)
-            bh_reject(np.array([0.5]), 1.0)
+            bh_reject(np.array([0.5])).detected_at(1.0)
 
 
 class TestQvalues:
@@ -95,7 +95,7 @@ class TestQvalues:
             p = rng.random(60)
             pi0 = float(rng.uniform(0.5, 1.0))
             q = float(rng.uniform(0.02, 0.5))
-            det = bh_reject(p, q / pi0).detected
+            det = bh_reject(p).detected_at(q / pi0)
             assert np.array_equal(qvalues(p, pi0) <= q, det)
 
     def test_clipped_to_unit(self, rng):
@@ -140,45 +140,52 @@ class TestDetect:
     def test_zero_level_detects_nothing(self, rng):
         field = random_field(rng, 100)
         model = fit_null(field)
-        res = detect(model, field, 0.0)
-        assert res.k_hat == 0
+        assert np.count_nonzero(detect(model, field).detected_at(0.0)) == 0
 
     def test_monotone_in_level(self, rng):
         field = random_field(rng, 400, contamination=0.1, lift=4.0)
         model = fit_null(field)
         prev = np.zeros(field.n, dtype=bool)
         for q in (0.05, 0.1, 0.2, 0.4):
-            det = detect(model, field, q).detected
+            det = detect(model, field).detected_at(q)
             assert np.all(det | ~prev)
             prev = det
 
     def test_uses_empirical_pi0_plugin(self, rng):
         field = random_field(rng, 300, contamination=0.3, lift=4.0)
         model = fit_null(field)
-        res = detect(model, field, 0.2)
+        res = detect(model, field)
         p = empirical_pvalues(model, field)
-        manual = bh_reject(p, min(0.2 / model.pi0_hat, 1.0))
-        assert np.array_equal(res.detected, manual.detected)
-        assert res.nominal_q == 0.2
+        manual = bh_reject(p).detected_at(min(0.2 / model.pi0_hat, 1.0))
+        assert np.array_equal(res.detected_at(0.2), manual)
+        assert res.pi0 == model.pi0_hat
 
     def test_qvalue_threshold_matches_decision(self, rng):
         field = random_field(rng, 300, contamination=0.3, lift=4.0)
         model = fit_null(field)
+        res = detect(model, field)
         for q in (0.05, 0.1, 0.2):
-            res = detect(model, field, q)
-            assert np.array_equal(res.qvalues <= q, res.detected)
+            assert np.array_equal(res.qvalues <= q, res.detected_at(q))
 
     def test_pi0_modes(self, rng):
         field = random_field(rng, 200, contamination=0.3, lift=4.0)
         model = fit_null(field)
-        r_emp = detect(model, field, 0.2, pi0_mode="empirical")
-        r_one = detect(model, field, 0.2, pi0_mode="one")
-        r_sto = detect(model, field, 0.2, pi0_mode="storey", zeta=0.5)
+        r_emp = detect(model, field, "empirical").detected_at(0.2)
+        r_one = detect(model, field, "one").detected_at(0.2)
+        r_sto = detect(model, field, "storey:0.5").detected_at(0.2)
         # plug-in correction can only enlarge the rejection set
-        assert np.all(r_emp.detected | ~r_one.detected)
-        assert r_sto.k_hat >= 0
+        assert np.all(r_emp | ~r_one)
+        assert np.count_nonzero(r_sto) >= 0
         with pytest.raises(DataError):
-            detect(model, field, 0.2, pi0_mode="bogus")
+            detect(model, field, "bogus")
+
+    @pytest.mark.parametrize("spec", [
+        "bogus", "", "Empirical", "empirical:", "empirical:0.5", "one:",
+        "storey:", "storey:x", "storey:0.5:0.1", "storey0.5"])
+    def test_unknown_pi0_spec_is_quoted(self, rng, spec):
+        field = random_field(rng, 50)
+        with pytest.raises(DataError, match=re.escape(repr(spec))):
+            detect(fit_null(field), field, spec)
 
     def test_detect_on_separate_test_field(self, line_dictionary, rng):
         from shiftdetect.simulate import NoiseSpec, SimConfig, generate
@@ -192,8 +199,7 @@ class TestDetect:
         test_cube, _ = generate(test_cfg)
         kind = SimilarityKind.SPECTRAL_ANGLE
         model = fit_null(compute_field(fit_cube, line_dictionary, kind))
-        res = detect(model, compute_field(test_cube, line_dictionary, kind),
-                     0.2)
+        res = detect(model, compute_field(test_cube, line_dictionary, kind))
         assert res.pvalues.size == 400
 
 
@@ -214,11 +220,11 @@ class TestDecisionsFromOneSort:
     @settings(max_examples=300, deadline=None)
     @given(fit_max=int_stats, test_max=int_stats,
            gaps=st.lists(st.integers(0, 3), min_size=60, max_size=60),
-           mode=st.sampled_from(["empirical", "one", "storey"]),
-           zeta=st.sampled_from([0.25, 0.5, 0.75]), q=levels,
-           extra=st.lists(levels, min_size=1, max_size=4))
+           spec=st.sampled_from(["empirical", "one", "storey",
+                                 "storey:0.25", "storey:0.5", "storey:0.75"]),
+           q=levels, extra=st.lists(levels, min_size=1, max_size=4))
     def test_detected_at_equals_fresh_decision_and_scan(
-            self, fit_max, test_max, gaps, mode, zeta, q, extra):
+            self, fit_max, test_max, gaps, spec, q, extra):
         fit_max = np.array(fit_max, dtype=float)
         fit_field = make_field(fit_max, fit_max - gaps[:fit_max.size])
         try:
@@ -227,18 +233,20 @@ class TestDecisionsFromOneSort:
             assume(False)
         test_max = np.array(test_max, dtype=float)
         field = make_field(test_max, test_max - gaps[:test_max.size])
-        result = detect(model, field, q, pi0_mode=mode, zeta=zeta)
+        result = detect(model, field, spec)
         p = empirical_pvalues(model, field)
         assert np.array_equal(result.pvalues, p)
-        pi0 = {"empirical": model.pi0_hat, "one": 1.0,
-               "storey": storey_pi0(p, zeta)}[mode]
+        mode, _, zeta = spec.partition(":")
+        pi0 = (model.pi0_hat if mode == "empirical" else 1.0 if mode == "one"
+               else storey_pi0(p, float(zeta or 0.5)))
         assert result.pi0 == pi0
         for level in [q] + extra:
-            fresh = detect(model, field, level, pi0_mode=mode, zeta=zeta)
+            fresh = detect(model, field, spec)
             scan = (step_up_set(p, min(level / pi0, 1.0)) if level > 0
                     else np.zeros(p.size, dtype=bool))
-            assert np.array_equal(result.detected_at(level), fresh.detected)
-            assert np.array_equal(fresh.detected, scan)
+            assert np.array_equal(result.detected_at(level),
+                                  fresh.detected_at(level))
+            assert np.array_equal(fresh.detected_at(level), scan)
             assert np.array_equal(fresh.qvalues, result.qvalues)
 
 
@@ -252,12 +260,10 @@ class TestOneStepUpRule:
     @given(p=quantised_p, q=levels, pi0=st.floats(0.05, 1.0))
     def test_bh_reject_detected_at_scan_and_qvalues_agree(self, p, q, pi0):
         p = np.array(p)
-        res = bh_reject(p, q)
+        res = bh_reject(p)
         scan = (step_up_set(p, q) if q > 0
                 else np.zeros(p.size, dtype=bool))
-        assert np.array_equal(res.detected, scan)
         assert np.array_equal(res.detected_at(q), scan)
-        assert res.k_hat == np.count_nonzero(scan)
         if q == 0:
             return  # a zero q-value is not rejected at level 0
         qv = qvalues(p, pi0)

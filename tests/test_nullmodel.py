@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftdetect.errors import DataError
 from shiftdetect.nullmodel import (NullModel, _ratio_round_down,
-                                   empirical_pvalues, fit_null, null_cdf)
+                                   empirical_pvalues, fit_null)
 from shiftdetect.similarity import SimilarityKind
 from shiftdetect.teststat import TestField, compute_field
 from tests.oracles import fit_null_sorted, write_null_csv
@@ -119,29 +119,41 @@ class TestFitNull:
 
 
 class TestNullCdf:
+    """The learned null CDF is 1 - p: an empirical p-value is the share of
+    pooled null values above the statistic."""
+
+    @staticmethod
+    def pvalue(model, t):
+        return empirical_pvalues(model, np.array([t]))[0]
+
     def test_extremes(self, rng):
         model = fit_null(random_field(rng, 200))
-        assert null_cdf(model, model.pooled[0] - 1.0) == 0.0
-        assert null_cdf(model, model.pooled[-1]) == 1.0
+        assert self.pvalue(model, model.pooled[0] - 1.0) == 1.0
+        assert self.pvalue(model, model.pooled[-1]) == 0.0
 
     def test_at_median_at_least_half(self, rng):
         # every low-side sample sits at or below the median, so the CDF
-        # there is at least 1/2
+        # there is at least 1/2 and the p-value at most 1/2
         for trial in range(10):
             model = fit_null(random_field(rng, 251 + trial))
-            assert null_cdf(model, model.mu0_hat) >= 0.5
+            assert self.pvalue(model, model.mu0_hat) <= 0.5
 
     def test_counts_match_naive(self, rng):
+        # p is the largest double not above the exact share of pooled
+        # values above t
         model = fit_null(random_field(rng, 150))
         ts = rng.uniform(-3, 4, 50)
         for t in ts:
-            naive = np.count_nonzero(model.pooled <= t) / model.pooled.size
-            assert null_cdf(model, t) == naive
+            naive = int(np.count_nonzero(model.pooled <= t))
+            exact = Fraction(model.pooled.size - naive, model.pooled.size)
+            p = self.pvalue(model, t)
+            assert Fraction(p) <= exact < Fraction(np.nextafter(p, np.inf))
 
     def test_step_right_continuity(self, rng):
         model = fit_null(random_field(rng, 150))
         x = model.pooled[model.n0]
-        assert null_cdf(model, x) > null_cdf(model, np.nextafter(x, -np.inf))
+        assert self.pvalue(model, x) \
+            < self.pvalue(model, np.nextafter(x, -np.inf))
 
 
 class TestEmpiricalPvalues:

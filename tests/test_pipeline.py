@@ -547,7 +547,7 @@ class TestRunDetection:
         region = RegionSpec(center_y=120, center_x=120, center_band=15,
                             half_width=25, half_bands=15, fit_half_width=100)
         out = run_detection(cube, region, q=0.2)
-        assert out.result.k_hat <= 3
+        assert np.count_nonzero(out.maps["detected"]) <= 3
 
     def test_decisions_depend_on_fit_only_through_model(self,
                                                         line_dictionary,
@@ -561,7 +561,7 @@ class TestRunDetection:
         again = run_detection(cube, region, q=0.2,
                               dictionary=out.dictionary,
                               model=NullModel.load_csv(path))
-        assert np.array_equal(again.result.detected, out.result.detected)
+        assert np.array_equal(again.maps["detected"], out.maps["detected"])
         assert np.array_equal(again.result.pvalues, out.result.pvalues)
 
     def test_custom_dict_params(self, line_dictionary):

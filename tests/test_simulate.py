@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from shiftdetect import simulate
 from shiftdetect.errors import DataError
 from shiftdetect.fdr import detect
 from shiftdetect.nullmodel import fit_null
 from shiftdetect.similarity import SimilarityKind
 from shiftdetect.simulate import (GroundTruth, Metrics, NoiseSpec, SimConfig,
                                   calibrate_glr_null, disk_mask,
-                                  fdr_snr_sweep, generate, glr_field,
+                                  fdr_snr_sweep, generate, glr_contrast,
+                                  glr_field,
                                   glr_pvalues, score, snr,
                                   signal_energy_for_snr, uniform_kernel,
                                   variance_preserving_kernel)
@@ -213,7 +215,7 @@ class TestPfaThresholdDetect:
         test_cube, _ = generate(test_cfg)
         model = fit_null(compute_field(fit_cube, line_dictionary, SAD))
         field = compute_field(test_cube, line_dictionary, SAD)
-        result = detect(model, field, 0.0)
+        result = detect(model, field)
         count = int(np.count_nonzero(result.pvalues < 0.05))
         lo = stats.binom.ppf(0.005, 2500, 0.05)
         hi = stats.binom.ppf(0.995, 2500, 0.05)
@@ -240,9 +242,9 @@ class TestScore:
         cfg = base_config(line_dictionary, n_y=20, n_x=20)
         cube, truth = generate(cfg)
         field = compute_field(cube, line_dictionary, SAD)
-        res = detect(fit_null(field), field, 0.2)
-        m_flat = score(res.detected, truth)
-        m_map = score(field.to_map(res.detected), truth)
+        detected = detect(fit_null(field), field).detected_at(0.2)
+        m_flat = score(detected, truth)
+        m_map = score(field.to_map(detected), truth)
         assert m_flat == m_map
 
     def test_disk_mask_count_and_determinism(self):
@@ -271,6 +273,11 @@ class TestSimConfigValidation:
         with pytest.raises(DataError):
             base_config(line_dictionary, signal_atom=15)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_target_snr_finite(self, line_dictionary, value):
+        with pytest.raises(DataError, match="target_snr"):
+            base_config(line_dictionary, target_snr=value)
+
 
 class TestFdrSnrSweep:
     def test_pool_matches_serial_bit_for_bit(self, line_dictionary):
@@ -279,3 +286,23 @@ class TestFdrSnrSweep:
         serial = fdr_snr_sweep(line_dictionary, threads=1, **kw)
         pooled = fdr_snr_sweep(line_dictionary, threads=2, **kw)
         assert repr(pooled) == repr(serial)
+
+    @pytest.mark.parametrize("kw", [
+        dict(snr_list=[]), dict(q_list=[]), dict(threads=0),
+        dict(threads=-1)], ids=["snr-empty", "q-empty", "threads-0",
+                                "threads-negative"])
+    def test_rejects_before_drawing(self, line_dictionary, monkeypatch, kw):
+        monkeypatch.setattr(simulate, "generate", no_draw)
+        args = {**dict(snr_list=[-14.0], q_list=[0.1], runs=1), **kw}
+        with pytest.raises(DataError):
+            fdr_snr_sweep(line_dictionary, **args)
+
+
+def no_draw(config):
+    raise AssertionError("a cube was drawn")
+
+
+def test_glr_contrast_rejects_empty_q_list(line_dictionary, monkeypatch):
+    monkeypatch.setattr(simulate, "generate", no_draw)
+    with pytest.raises(DataError, match="q_list"):
+        glr_contrast(line_dictionary, NoiseSpec("gaussian"), [], runs=1)
