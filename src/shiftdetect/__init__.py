@@ -23,7 +23,7 @@ from .similarity import SimilarityKind
 from .simulate import (GroundTruth, Metrics, NoiseSpec, SimConfig,
                        calibrate_glr_null, disk_mask, fdr_snr_sweep,
                        generate, glr_contrast, glr_field, glr_pvalues,
-                       score, snr, uniform_kernel,
+                       score, uniform_kernel,
                        variance_preserving_kernel)
 from .teststat import TestField, compute_field
 
@@ -43,7 +43,7 @@ __all__ = [
     "glr_pvalues", "load_cube", "load_cube_csvdir",
     "lss_shift_grid", "normal_cdf_2d", "normal_cdf_3d",
     "pfa_bound", "pfa_exact_orthogonal", "preprocess", "qvalues",
-    "run_detection", "save_cube", "save_cube_csvdir", "score", "snr",
+    "run_detection", "save_cube", "save_cube_csvdir", "score",
     "storey_pi0", "threshold_for_pfa", "uniform_kernel",
     "variance_preserving_kernel", "write_maps", "write_pgm",
 ]

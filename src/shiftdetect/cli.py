@@ -215,6 +215,9 @@ def cmd_pfa_bound(args) -> int:
     if not 0 <= args.amplitude < np.inf:
         raise DataError(f"--amplitude must be finite and >= 0, "
                         f"got {args.amplitude}")
+    # build_lss checks tau only for m >= 2
+    if not 0 <= args.tau < np.inf:
+        raise DataError(f"--tau must be finite and >= 0, got {args.tau}")
     values = read_numbers(args.reference).ravel()
     center = args.center_band
     reference = ReferenceAtom(

@@ -139,8 +139,11 @@ class Dictionary:
             raise DataError("atoms must be a (m, l) matrix")
         if shifts.shape != (atoms.shape[0],):
             raise DataError("shifts must have one entry per atom")
-        norms = np.linalg.norm(atoms, axis=1)
-        if np.any(np.abs(norms - 1.0) > NORM_TOL):
+        if not np.all(np.isfinite(shifts)):
+            raise DataError("shifts must be finite")
+        # written so that a NaN norm fails it too
+        if not np.all(np.abs(np.linalg.norm(atoms, axis=1) - 1.0)
+                      <= NORM_TOL):
             raise DataError("atoms must have unit l2 norm within 1e-12")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "shifts", shifts)

@@ -33,6 +33,10 @@ class NullModel:
     pooled: np.ndarray
 
     def __post_init__(self):
+        if not 1 <= self.n0 <= self.n_fit:
+            raise DataError("need 1 <= n0 <= n_fit")
+        if not np.isfinite(self.mu0_hat):
+            raise DataError("mu0_hat must be finite")
         pooled = self.pooled
         if pooled.shape != (2 * self.n0,) or not np.all(np.isfinite(pooled)) \
                 or np.any(pooled[1:] < pooled[:-1]):

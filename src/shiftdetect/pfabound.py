@@ -4,9 +4,9 @@ For orthogonal atoms the false-alarm probability of the max test has the
 closed form 1 - Phi(eta)^m.  For a coherent linearly-spaced-shift
 dictionary it does not, but a recursive product of conditional orthant
 probabilities gives a computable upper bound: each step multiplies by
-Pr(z1 <= t | z2 <= t, z3 <= t) evaluated from trivariate and bivariate
-normal CDFs, using the two nearest-neighbor correlations of the denser
-grid.  The bound is sharp for uncorrelated atoms.
+Pr(z1 <= t | z2 <= t, z3 <= t) for an interior atom z1 of the denser grid
+and its two flanks z2, z3, from trivariate and bivariate normal CDFs.
+The bound is sharp for uncorrelated atoms.
 
 A table of thresholds over dictionary sizes checks Gamma, the reference's
 autocorrelation in the shift, once per (reference, tau) and each grid
@@ -282,14 +282,9 @@ def threshold_for_pfa_orthogonal(m: int, alpha: float) -> float:
     return float(ndtri((1.0 - alpha) ** (1.0 / m)))
 
 
-def _check_neighbors(neighbors: str) -> None:
-    if neighbors not in ("flanking", "one_sided"):
-        raise DataError(f"unknown neighbor convention {neighbors!r}")
-
-
 class _BoundRecursion:
-    """The recursion M_m(t) for one (reference, tau, neighbors) and sizes up
-    to m_max, evaluated for arrays of thresholds.
+    """The recursion M_m(t) for one (reference, tau) and sizes up to m_max,
+    evaluated for arrays of thresholds.
 
     Gamma is validated on its grid at construction, and the correlations of
     each grid size s are evaluated and checked once.  An evaluation makes
@@ -297,8 +292,7 @@ class _BoundRecursion:
     rows it needs.
     """
 
-    def __init__(self, reference, tau: float, neighbors: str, m_max: int):
-        _check_neighbors(neighbors)
+    def __init__(self, reference, tau: float, m_max: int):
         if reference is None:
             raise DataError("pfa_bound needs a dictionary built from a "
                             "reference (load_csv drops it); rebuild with "
@@ -319,10 +313,9 @@ class _BoundRecursion:
         deltas = 2.0 * tau / (np.arange(3, m_max + 1) - 1)
         r1 = np.array([gamma(delta) for delta in deltas])
         r2 = np.array([gamma(2.0 * delta) for delta in deltas])
-        # size s >= 3: z1 against z2, z3 at correlations (rho12, rho13,
-        # rho23); the denominator is P(z2 <= t, z3 <= t)
-        self._num_rho = np.stack([r1, r1, r2] if neighbors == "flanking"
-                                 else [r1, r2, r1], axis=1)
+        # size s >= 3: z1 against its flanks z2, z3 at correlations
+        # (rho12, rho13, rho23); the denominator is P(z2 <= t, z3 <= t)
+        self._num_rho = np.stack([r1, r1, r2], axis=1)
         self._den_rho = self._num_rho[:, 2]
         self._first_bad, self._error = m_max + 1, None
         for size, triple in enumerate([(self._rho_two, 0.0, 0.0),
@@ -370,43 +363,30 @@ class _BoundRecursion:
                                                                 axis=1)))
 
 
-def pfa_bound(dictionary: Dictionary, eta: float,
-              neighbors: str = "flanking") -> float:
+def pfa_bound(dictionary: Dictionary, eta: float) -> float:
     """Upper bound on the max-test false-alarm probability at threshold eta.
 
     Evaluates the recursion
         M_2(t)   = P(z1 <= t, z2 <= t)                 [2-atom grid]
         M_{s}(t) = P(z1 <= t | z2 <= t, z3 <= t) M_{s-1}(t)
-    where at size s the conditioned score z1 is judged against its two most
-    correlated companions on the size-s grid, and returns 1 - M_m(eta).
-
-    `neighbors` fixes which companions those are:
-
-    * "flanking" (default): z1 is an interior atom and z2, z3 its two
-      flanks at one grid step (correlations Gamma(delta), Gamma(delta);
-      mutual correlation Gamma(2 delta)).  This makes the size-3 term the
-      exact trivariate orthant probability and gives the tighter bound.
-    * "one_sided": z1 is the first atom of the grid and z2, z3 the next
-      two (correlations Gamma(delta), Gamma(2 delta)); the remaining
-      scores then form a contiguous denser grid, which is the variant the
-      Gaussian comparison argument covers step by step.
+    where at size s the conditioned score z1 is an interior atom of the
+    size-s grid and z2, z3 its two flanks at one grid step (correlations
+    Gamma(delta), Gamma(delta), Gamma(2 delta)); returns 1 - M_m(eta).
+    The size-3 term is then the exact trivariate orthant probability.
 
     Requires a dictionary whose autocorrelation is non-negative and
     non-increasing; collapses to the orthogonal closed form when all the
     involved correlations vanish.
     """
-    _check_neighbors(neighbors)
     m = dictionary.m
     if m == 1:
         return pfa_exact_orthogonal(1, eta)
-    recursion = _BoundRecursion(dictionary.reference, dictionary.tau,
-                                neighbors, m)
+    recursion = _BoundRecursion(dictionary.reference, dictionary.tau, m)
     recursion.check(m)
     return float(recursion.pfa([float(eta)], [m])[0, -1])
 
 
-def threshold_table(reference, tau: float, ms, alpha: float,
-                    neighbors: str = "flanking") -> list:
+def threshold_table(reference, tau: float, ms, alpha: float) -> list:
     """Bound thresholds for the LSS dictionaries of sizes `ms` over
     [-tau, tau]: for each m the smallest threshold whose false-alarm bound
     is at most alpha, found by bisection to within 1e-8.
@@ -420,7 +400,6 @@ def threshold_table(reference, tau: float, ms, alpha: float,
     computed as on its own, so the thresholds equal `threshold_for_pfa`'s
     bit for bit.
     """
-    from scipy.special import ndtri
     if not (0.0 < alpha < 1.0):
         raise DataError("alpha must lie in (0, 1)")
     ms = list(ms)
@@ -432,10 +411,10 @@ def threshold_table(reference, tau: float, ms, alpha: float,
         if m < 1:
             raise DataError("m must be >= 1")
         if m == 1:
-            out.append(float(ndtri(1.0 - alpha)))
+            out.append(threshold_for_pfa_orthogonal(1, alpha))
             continue
         if recursion is None:
-            recursion = _BoundRecursion(reference, tau, neighbors, max(ms))
+            recursion = _BoundRecursion(reference, tau, max(ms))
             on_grid = 1.0 - recursion.pfa(
                 _MONOTONE_GRID, np.full(len(_MONOTONE_GRID), max(ms)))
         recursion.check(m)
@@ -473,8 +452,7 @@ def threshold_table(reference, tau: float, ms, alpha: float,
     return [float(next(etas)) if eta is None else eta for eta in out]
 
 
-def threshold_for_pfa(dictionary: Dictionary, alpha: float,
-                      neighbors: str = "flanking") -> float:
+def threshold_for_pfa(dictionary: Dictionary, alpha: float) -> float:
     """Smallest threshold whose false-alarm bound is at most alpha:
     solves M_m(eta) = 1 - alpha by bisection to within 1e-8.
 
@@ -482,4 +460,4 @@ def threshold_for_pfa(dictionary: Dictionary, alpha: float,
     coarse grid before inverting.
     """
     return threshold_table(dictionary.reference, dictionary.tau,
-                           [dictionary.m], alpha, neighbors)[0]
+                           [dictionary.m], alpha)[0]

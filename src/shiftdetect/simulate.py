@@ -142,16 +142,9 @@ class GroundTruth:
         return int(np.count_nonzero(self.h1_mask))
 
 
-def snr(config: SimConfig, signal_energy: float) -> float:
-    """The sweep axis 10 log10(A / (n l sigma^2)) for total signal energy A."""
-    denom = config.n * config.l * config.noise.marginal_variance
-    if signal_energy <= 0:
-        return -math.inf
-    return 10.0 * math.log10(signal_energy / denom)
-
-
 def signal_energy_for_snr(config: SimConfig, snr_db: float) -> float:
-    """Inverse of `snr`: total signal energy hitting the requested level."""
+    """Total signal energy A at which the sweep axis
+    10 log10(A / (n l sigma^2)) equals snr_db."""
     return config.n * config.l * config.noise.marginal_variance \
         * 10.0 ** (snr_db / 10.0)
 

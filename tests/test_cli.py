@@ -217,8 +217,55 @@ def small_csvdir(**override):
     return files
 
 
+def dict34_with(row, col, value):
+    """The rows of `workdir`'s dict34.csv, shifts first, with one entry
+    replaced."""
+    d = build_lss(gaussian_line_reference(34, 17, 5.0), 15, 7.0)
+    rows = [list(d.shifts), *map(list, d.atoms)]
+    rows[row][col] = value
+    return "".join(",".join("%.17g" % v for v in r) + "\n" for r in rows)
+
+
+def model_csv(values, pooled=(0.1, 0.2)):
+    """A NullModel CSV with the row `values` of mu0_hat,pi0_hat,n0,n_fit."""
+    return "mu0_hat,pi0_hat,n0,n_fit\r\n%s\r\n" % values \
+        + "".join("%r\r\n" % v for v in pooled)
+
+
 class TestMalformedNumbers:
     @pytest.mark.parametrize("argv, config", [
+        pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "nan",
+                      "--m-range", "1..1"], None, id="pfa-bound-tau-nan-m1"),
+        pytest.param(["pfa-bound", "--reference", "{ref}", "--tau=-3",
+                      "--m-range", "1..1"], None,
+                     id="pfa-bound-tau-negative-m1"),
+        # a saved fit: the dictionary and a valid model in one directory
+        pytest.param(["detect", "--cube", "{cube}", "--center", "120,120,17",
+                      "--half-bands", "17", "--dict-in", "{csvdir}/d.csv",
+                      "--model", "{csvdir}/m.csv", "--out", "{out}"],
+                     {"d.csv": dict34_with(3, 17, np.nan),
+                      "m.csv": model_csv("0.5,1,1,2")},
+                     id="detect-dict-atom-nan"),
+        pytest.param(["detect", "--cube", "{cube}", "--center", "120,120,17",
+                      "--half-bands", "17", "--dict-in", "{csvdir}/d.csv",
+                      "--model", "{csvdir}/m.csv", "--out", "{out}"],
+                     {"d.csv": dict34_with(0, 4, np.nan),
+                      "m.csv": model_csv("0.5,1,1,2")},
+                     id="detect-dict-shift-nan"),
+        pytest.param(["detect", "--cube", "{cube}", "--center", "120,120,17",
+                      "--half-bands", "17", "--dict-in", "{dict}",
+                      "--model", "{conf}", "--out", "{out}"],
+                     model_csv("0.5,1,0,10", pooled=()),
+                     id="detect-model-n0-0"),
+        pytest.param(["detect", "--cube", "{cube}", "--center", "120,120,17",
+                      "--half-bands", "17", "--dict-in", "{dict}",
+                      "--model", "{conf}", "--out", "{out}"],
+                     model_csv("nan,1,1,2"), id="detect-model-mu0-nan"),
+        pytest.param(["detect", "--cube", "{cube}", "--center", "120,120,17",
+                      "--half-bands", "17", "--dict-in", "{dict}",
+                      "--model", "{conf}", "--out", "{out}"],
+                     model_csv("0.5,1,1,-5"),
+                     id="detect-model-n-fit-below-n0"),
         pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "nan",
                       "--m-range", "2..3"], None, id="pfa-bound-tau-nan"),
         pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "inf",

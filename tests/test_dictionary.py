@@ -279,3 +279,40 @@ class TestSerialization:
         back = Dictionary.load_csv(root / "fast.csv")
         assert back.atoms.tobytes() == d.atoms.tobytes()
         assert back.shifts.tobytes() == d.shifts.tobytes()
+
+    @pytest.mark.parametrize("part, value", [
+        ("atoms", np.nan), ("shifts", np.nan), ("shifts", -np.inf)])
+    def test_non_finite_entry_rejected(self, line_dictionary, part, value):
+        # a NaN atom entry makes a NaN norm, and every comparison with NaN
+        # is false
+        fields = dict(atoms=line_dictionary.atoms.copy(),
+                      shifts=line_dictionary.shifts.copy())
+        fields[part].flat[1] = value
+        with pytest.raises(DataError):
+            Dictionary(**fields, tau=line_dictionary.tau)
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 6), l=st.integers(2, 8),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_round_trip_and_non_finite_entry_fails_closed(
+            self, tmp_path_factory, m, l, seed, data):
+        rng = np.random.default_rng(seed)
+        atoms = rng.standard_normal((m, l))
+        atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
+        shifts = np.array(data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=m, max_size=m)))
+        d = Dictionary(atoms=atoms, shifts=shifts, tau=1.0)
+        path = tmp_path_factory.mktemp("dict") / "d.csv"
+        d.save_csv(path)
+        back = Dictionary.load_csv(path)
+        assert back.atoms.tobytes() == d.atoms.tobytes()
+        assert back.shifts.tobytes() == d.shifts.tobytes()
+        # any one entry, shift or atom, made non-finite
+        rows = [row.split(",") for row in path.read_text().splitlines()]
+        row = data.draw(st.integers(0, m))
+        col = data.draw(st.integers(0, len(rows[row]) - 1))
+        rows[row][col] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(DataError):
+            Dictionary.load_csv(path)

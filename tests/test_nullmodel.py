@@ -310,9 +310,9 @@ class TestSerialization:
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                            min_size=1, max_size=30),
-           mu0=st.floats(allow_nan=False),
+           mu0=st.floats(allow_nan=False, allow_infinity=False),
            pi0=st.floats(0.0, 1.0, exclude_min=True),
-           n_fit=st.integers(0, 2 ** 40))
+           n_fit=st.integers(30, 2 ** 40))
     def test_bytes_equal_csv_writer_and_round_trip(self, tmp_path_factory,
                                                    values, mu0, pi0, n_fit):
         pooled = np.sort(np.array(values * 2), kind="stable")
@@ -339,8 +339,14 @@ class TestSerialization:
         (lambda rows: rows[:2] + ["nan"] + rows[3:], "finite"),
         (lambda rows: rows[:-1] + ["inf"], "finite"),
         (lambda rows: rows[:-1], "2\\*n0"),
+        (lambda rows: rows[:1] + ["nan," + rows[1].split(",", 1)[1]]
+         + rows[2:], "mu0_hat must be finite"),
+        (lambda rows: rows[:1] + [rows[1].rsplit(",", 1)[0] + ",1"]
+         + rows[2:], "n0 <= n_fit"),
+        (lambda rows: rows[:1] + ["0.5,1,0,50"], "1 <= n0"),
     ], ids=["abc", "two-columns", "values-x", "short-values", "header",
-            "reversed", "nan", "inf", "one-short"])
+            "reversed", "nan", "inf", "one-short", "mu0-nan",
+            "n-fit-below-n0", "n0-0"])
     def test_load_fails_closed(self, rng, tmp_path, edit, message):
         path = tmp_path / "model.csv"
         fit_null(random_field(rng, 50)).save_csv(path)

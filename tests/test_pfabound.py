@@ -279,9 +279,7 @@ class TestPfaBound:
             d = build_lss(gauss_reference, m, tau)
             est = mc_max_alpha(d.gram(), eta, 10 ** 6, rng)
             se = math.sqrt(est * (1 - est) / 10 ** 6)
-            for neighbors in ("flanking", "one_sided"):
-                bound = pfa_bound(d, eta, neighbors=neighbors)
-                assert bound >= est - 3 * se
+            assert pfa_bound(d, eta) >= est - 3 * se
 
     def test_recursion_value_nonincreasing_in_m(self, gauss_reference):
         eta = 2.0
@@ -348,7 +346,7 @@ class TestThresholdForPfa:
             threshold_for_pfa(line_dictionary, 0.0)
 
 
-def direct_pfa_bound(reference, m, tau, t, neighbors):
+def direct_pfa_bound(reference, m, tau, t):
     """The bound recursion written out afresh for one (m, t), with no
     shared state: the oracle the shared recursion must match bit for bit."""
     def gamma(u):
@@ -359,23 +357,19 @@ def direct_pfa_bound(reference, m, tau, t, neighbors):
         delta = 2.0 * tau / (size - 1)
         r1 = gamma(delta)
         r2 = gamma(2.0 * delta)
-        if neighbors == "flanking":
-            den = normal_cdf_2d(t, t, r2)
-            num = normal_cdf_3d(t, t, t, r1, r1, r2)
-        else:
-            den = normal_cdf_2d(t, t, r1)
-            num = normal_cdf_3d(t, t, t, r1, r2, r1)
+        den = normal_cdf_2d(t, t, r2)
+        num = normal_cdf_3d(t, t, t, r1, r1, r2)
         if den <= 0.0:
             return 1.0
         big_m *= num / den
     return float(min(1.0, max(0.0, 1.0 - big_m)))
 
 
-def direct_threshold(reference, m, tau, alpha, neighbors):
+def direct_threshold(reference, m, tau, alpha):
     """`threshold_for_pfa`'s monotonicity check, bracket and bisection for
     one m, written out on `direct_pfa_bound`."""
     def big_m(t):
-        return 1.0 - direct_pfa_bound(reference, m, tau, t, neighbors)
+        return 1.0 - direct_pfa_bound(reference, m, tau, t)
 
     vals = [big_m(t) for t in np.linspace(-6.0, 8.0, 29)]
     assert not np.any(np.diff(vals) < -1e-10)
@@ -395,66 +389,51 @@ def direct_threshold(reference, m, tau, alpha, neighbors):
 
 
 _STANDARD_REF = gaussian_line_reference(30, 15, 5.0)
-# one recursion per convention, shared by every example below
-_SHARED = {nb: _BoundRecursion(_STANDARD_REF, 8.0, nb, 20)
-           for nb in ("flanking", "one_sided")}
+# one recursion, shared by every example below
+_SHARED = _BoundRecursion(_STANDARD_REF, 8.0, 20)
 
 
 class TestSharedRecursion:
     @settings(max_examples=60, deadline=None)
     @given(t=st.floats(-6.0, 8.0), m=st.integers(2, 20),
-           first=st.integers(2, 20),
-           neighbors=st.sampled_from(["flanking", "one_sided"]))
-    def test_matches_per_call_bound(self, t, m, first, neighbors):
-        want = direct_pfa_bound(_STANDARD_REF, m, 8.0, t, neighbors)
+           first=st.integers(2, 20))
+    def test_matches_per_call_bound(self, t, m, first):
+        want = direct_pfa_bound(_STANDARD_REF, m, 8.0, t)
         d = build_lss(_STANDARD_REF, m, 8.0)
-        assert pfa_bound(d, t, neighbors=neighbors) == want
+        assert pfa_bound(d, t) == want
         # a row's value does not depend on the other rows of the call
-        assert _SHARED[neighbors].pfa([t, t], [first, m])[1, -1] == want
+        assert _SHARED.pfa([t, t], [first, m])[1, -1] == want
 
     def test_vanished_denominator_gives_one(self):
         # far below the grid every orthant probability underflows to 0
-        for neighbors in ("flanking", "one_sided"):
-            for m in (2, 3, 20):
-                want = direct_pfa_bound(_STANDARD_REF, m, 8.0, -45.0,
-                                        neighbors)
-                assert want == 1.0
-                assert _SHARED[neighbors].pfa([-45.0], [m])[0, -1] == want
+        for m in (2, 3, 20):
+            want = direct_pfa_bound(_STANDARD_REF, m, 8.0, -45.0)
+            assert want == 1.0
+            assert _SHARED.pfa([-45.0], [m])[0, -1] == want
 
     @settings(max_examples=20, deadline=None)
     @given(fwhm=st.floats(2.5, 6.0), tau=st.floats(3.0, 9.0),
            alpha=st.floats(0.01, 0.1),
-           neighbors=st.sampled_from(["flanking", "one_sided"]),
            ms=st.lists(st.integers(1, 8), min_size=1, max_size=3))
-    def test_table_equals_per_m_bisection(self, fwhm, tau, alpha,
-                                          neighbors, ms):
+    def test_table_equals_per_m_bisection(self, fwhm, tau, alpha, ms):
         ref = gaussian_line_reference(40, 20, fwhm, 6.0)
-        table = threshold_table(ref, tau, ms, alpha, neighbors=neighbors)
+        table = threshold_table(ref, tau, ms, alpha)
         want = [float(ndtri(1.0 - alpha)) if m == 1 else
-                direct_threshold(ref, m, tau, alpha, neighbors) for m in ms]
+                direct_threshold(ref, m, tau, alpha) for m in ms]
         assert table == want
 
-    @pytest.mark.parametrize("ms, neighbors", [
-        ([1, 2, 3, 5, 8, 13, 20], "flanking"),
-        ([9, 4], "one_sided"),
-    ])
-    def test_table_equals_per_m_threshold(self, ms, neighbors):
-        table = threshold_table(_STANDARD_REF, 8.0, ms, 0.05,
-                                neighbors=neighbors)
+    @pytest.mark.parametrize("ms", [[1, 2, 3, 5, 8, 13, 20], [9, 4]])
+    def test_table_equals_per_m_threshold(self, ms):
+        table = threshold_table(_STANDARD_REF, 8.0, ms, 0.05)
         for m, eta in zip(ms, table):
             d = build_lss(_STANDARD_REF, m, 8.0 if m > 1 else 0.0)
-            assert eta == threshold_for_pfa(d, 0.05, neighbors=neighbors)
+            assert eta == threshold_for_pfa(d, 0.05)
 
     def test_table_validates_like_per_m(self):
         with pytest.raises(DataError, match="alpha"):
             threshold_table(_STANDARD_REF, 8.0, [2], 1.0)
-        with pytest.raises(DataError, match="neighbor"):
-            threshold_table(_STANDARD_REF, 8.0, [2], 0.05,
-                            neighbors="both")
-        # size 1 needs no recursion, so neither the convention nor the
-        # reference is consulted
-        assert threshold_table(None, 8.0, [1], 0.05, neighbors="both") \
-            == [float(ndtri(0.95))]
+        # size 1 needs no recursion, so the reference is not consulted
+        assert threshold_table(None, 8.0, [1], 0.05) == [float(ndtri(0.95))]
         # sizes are checked in the given order and the first failure is
         # raised, whichever check it fails
         two_bump = two_bump_reference()
@@ -488,7 +467,7 @@ class TestSharedRecursion:
             threshold_table(_STANDARD_REF, 8.0, [5, 0, 6], 0.05)
         d5 = build_lss(_STANDARD_REF, 5, 8.0)
         assert pfa_bound(d5, 2.0) == direct_pfa_bound(_STANDARD_REF, 5, 8.0,
-                                                      2.0, "flanking")
+                                                      2.0)
         with pytest.raises(DataError, match="non-PSD"):
             pfa_bound(build_lss(_STANDARD_REF, 6, 8.0), 2.0)
 

