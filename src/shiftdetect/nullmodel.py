@@ -41,8 +41,8 @@ class NullModel:
         if pooled.shape != (2 * self.n0,) or not np.all(np.isfinite(pooled)) \
                 or np.any(pooled[1:] < pooled[:-1]):
             raise DataError("pooled sample must be 2*n0 sorted finite values")
-        if not (0.0 < self.pi0_hat <= 1.0):
-            raise DataError("pi0_hat must lie in (0, 1]")
+        if self.pi0_hat != min(2 * self.n0 / self.n_fit, 1.0):
+            raise DataError("pi0_hat must equal min(2*n0/n_fit, 1)")
 
     def save_csv(self, path) -> None:
         """Header, values and pooled rows at %.17g, CRLF as `csv.writer`."""

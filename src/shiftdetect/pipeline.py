@@ -27,6 +27,9 @@ _MAGIC = b"FDC1"
 _FLAG_VARIANCE = 0x1
 
 CONTOUR_LEVELS = (0.05, 0.1, 0.2, 0.4)
+# pixels per block when `preprocess` transposes a cube, so that a block
+# stays in cache
+_BLOCK_PIXELS = 1024
 # Dictionaries built here allow slightly negative inner products between
 # far-shifted atoms: a reference estimated from noisy pixels always carries
 # a noise floor at shifts where the true line profiles no longer overlap.
@@ -144,7 +147,8 @@ def save_cube(cube: Cube, path) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIIi", n_y, n_x, l, flags, cube.band_origin))
         for block in (cube.data, cube.variance)[:2 if flags else 1]:
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+            # the buffer itself: copied only when not C-order "<f8"
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def load_cube(path, window=None) -> Cube:
@@ -268,7 +272,7 @@ def _check_nan_policy(cube: Cube) -> None:
 def preprocess(cube: Cube, fsf: Optional[FsfKernel] = None,
                baseline_window: Optional[int] = None,
                use_variance: bool = True) -> Cube:
-    """Standardize a cube for testing.
+    """Standardize a cube for testing; the input cube is left unchanged.
 
     Steps, in order: optional running-median baseline subtraction (off by
     default, for inputs whose continuum was not already removed); per-voxel
@@ -278,10 +282,15 @@ def preprocess(cube: Cube, fsf: Optional[FsfKernel] = None,
     differ in sign); optional spatial convolution with the kernel,
     reflective boundaries.  Every step is odd in the data, so symmetric
     noise stays symmetric.  Masked pixels pass through untouched.
+
+    The standardization works band-major (`_standardize`): each voxel
+    meets the same operations on the same operands as in band-by-band
+    order, so the bits do not depend on the layout.  NaNs are zero-filled
+    for the convolution in place, and only when there are any.
     """
     from scipy import ndimage
     masked = masked_spectra(cube.data)
-    data = cube.data.copy()
+    data = cube.data
     if baseline_window is not None:
         if baseline_window < 3 or baseline_window % 2 == 0:
             raise DataError("baseline window must be odd and >= 3")
@@ -289,25 +298,45 @@ def preprocess(cube: Cube, fsf: Optional[FsfKernel] = None,
         # the data itself over the first and last half-windows
         data = data - ndimage.median_filter(
             data, size=(1, 1, baseline_window), mode="reflect")
-    if use_variance:
-        if cube.variance is None:
-            raise DataError("variance reduction requested but the cube "
-                            "has no variance")
-        data /= np.sqrt(cube.variance)
-    for b in range(data.shape[2]):
-        band = data[:, :, b].ravel()
-        band -= _nanmedian(band)
-        scale = 1.4826 * _nanmedian(np.abs(band))
-        if not np.isfinite(scale) or scale <= 0:
-            raise DataError(f"degenerate band {b}: zero spread")
-        data[:, :, b] = band.reshape(data.shape[:2]) / scale
+    if use_variance and cube.variance is None:
+        raise DataError("variance reduction requested but the cube has no "
+                        "variance")
+    data = _standardize(data, cube.variance if use_variance else None)
     if fsf is not None:
-        filled = np.where(np.isnan(data), 0.0, data)
-        data = ndimage.convolve(filled, fsf.weights[:, :, None],
+        nan = np.isnan(data)
+        if nan.any():
+            data[nan] = 0.0
+        data = ndimage.convolve(data, fsf.weights[:, :, None],
                                 mode="reflect")
         if masked is not None:
             data[masked] = np.nan
     return Cube(data=data, variance=None, band_origin=cube.band_origin)
+
+
+def _standardize(data: np.ndarray,
+                 variance: Optional[np.ndarray]) -> np.ndarray:
+    """data / sqrt(variance) (data alone when variance is None), each band
+    centred on its median and scaled by 1.4826 MAD, as a new C-order cube.
+    The work runs on one band-major copy, each band a contiguous row
+    centred and scaled in place; both transpositions go block by block."""
+    n_y, n_x, l = data.shape
+    step = max(1, _BLOCK_PIXELS // max(n_x, 1))
+    blocks = [slice(r, r + step) for r in range(0, n_y, step)]
+    bands = np.empty((l, n_y, n_x))
+    for rows in blocks:
+        block = data[rows] if variance is None \
+            else data[rows] / np.sqrt(variance[rows])
+        bands[:, rows] = block.transpose(2, 0, 1)
+    for b, band in enumerate(bands.reshape(l, n_y * n_x)):
+        band -= _nanmedian(band)
+        scale = 1.4826 * _nanmedian(np.abs(band))
+        if not np.isfinite(scale) or scale <= 0:
+            raise DataError(f"degenerate band {b}: zero spread")
+        band /= scale
+    out = np.empty((n_y, n_x, l))
+    for rows in blocks:
+        out[rows] = bands[:, rows].transpose(1, 2, 0)
+    return out
 
 
 def _nanmedian(values: np.ndarray) -> float:
@@ -466,17 +495,26 @@ def write_pgm(path, values: np.ndarray, invert: bool = False) -> None:
 
 
 def _write_grid(path, values: np.ndarray) -> None:
-    """A 2-d array as CSV rows of %.17g numbers, the one grid format."""
-    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    """A 2-d array as CSV rows of %.17g numbers, the one grid format.  A
+    boolean grid goes out as one byte array of its 0/1 digits: the text
+    %.17g gives 0.0 and 1.0, without formatting each value."""
+    n_y, n_x = values.shape
     with open(path, "w") as fh:
-        fh.write(row * values.shape[0] % tuple(values.ravel().tolist()))
+        if values.dtype == bool:
+            text = np.full((n_y, 2 * n_x), ord(","), dtype=np.uint8)
+            text[:, ::2] = values + ord("0")
+            text[:, -1:] = ord("\n")
+            fh.write(text.tobytes().decode("ascii"))
+            return
+        row = ",".join(["%.17g"] * n_x) + "\n"
+        fh.write(row * n_y % tuple(values.ravel().tolist()))
 
 
 def write_maps(output: DetectionOutput, outdir, prefix: str = "map") -> None:
-    """CSV grid (`_write_grid`) plus PGM preview per map."""
+    """CSV grid (`_write_grid`, digits for a boolean map) plus PGM preview
+    per map."""
     os.makedirs(outdir, exist_ok=True)
     for name, values in output.maps.items():
-        arr = values.astype(float)
-        _write_grid(os.path.join(outdir, f"{prefix}_{name}.csv"), arr)
-        write_pgm(os.path.join(outdir, f"{prefix}_{name}.pgm"), arr,
+        _write_grid(os.path.join(outdir, f"{prefix}_{name}.csv"), values)
+        write_pgm(os.path.join(outdir, f"{prefix}_{name}.pgm"), values,
                   invert=name in ("pvalue", "qvalue"))

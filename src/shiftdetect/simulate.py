@@ -381,6 +381,9 @@ def fdr_snr_sweep(dictionary: Dictionary, snr_list, q_list, runs: int,
              for rep in range(runs)]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
+        # forked workers inherit the parent's modules: imported once here,
+        # scipy.ndimage is not imported again in every worker
+        from scipy import ndimage  # noqa: F401
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_sweep_replicate, tasks, chunksize=4))
     else:

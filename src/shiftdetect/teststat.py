@@ -10,6 +10,11 @@ from .dictionary import Dictionary
 from .errors import DataError
 from .similarity import SimilarityKind, score_matrix
 
+# spectra per scored block (up to twice as many in the last): at m = 15
+# atoms a block's scores and their atom-major copy stay in L2, and a
+# multithreaded BLAS pays its start-up once per block, not per few rows
+_BLOCK_PIXELS = 4096
+
 
 @dataclass(frozen=True)
 class TestField:
@@ -71,8 +76,14 @@ def compute_field(cube, dictionary: Dictionary,
     `cube` may be a pipeline Cube, a (n_y, n_x, l) array, or a (n, l) matrix
     of spectra (treated as an (n, 1) grid); masked pixels are left out.
     Argmax ties break toward the lowest atom index; a NaN score counts as
-    the maximum, as in `np.argmax`.  Max, min and argmax run over pixels of
-    an atom-major copy of the `score_matrix` scores: exact order statistics,
+    the maximum, as in `np.argmax`.
+
+    The unmasked spectra are scored in cache-sized blocks; max, min and
+    argmax run over pixels of an atom-major copy of each block's
+    `score_matrix` scores, into preallocated outputs.  A block starts at a
+    multiple of `_BLOCK_PIXELS` and holds at least that many rows (unless
+    it is the whole field), so BLAS sums each score in the order of the
+    whole-field product: the statistics are its exact order statistics,
     though a zero (or, from infinite input, NaN) one may differ in sign.
     """
     data = np.asarray(getattr(cube, "data", cube), dtype=float)
@@ -86,23 +97,28 @@ def compute_field(cube, dictionary: Dictionary,
             f"{dictionary.length}")
 
     n_y, n_x, l = data.shape
-    flat = np.ascontiguousarray(data.reshape(-1, l))    # C rows for BLAS
+    flat = data.reshape(-1, l)
     valid = np.arange(n_y * n_x)
     masked = masked_spectra(flat)
     if masked is not None:
         valid = np.nonzero(~masked)[0]
         flat = flat[valid]
 
-    scores = np.ascontiguousarray(score_matrix(flat, dictionary.atoms, kind).T)
-    tmax = scores.max(axis=0)
-    argmax = np.zeros(valid.size, dtype=np.intp)
-    for j in range(len(scores) - 1, -1, -1):    # the lowest index wins
-        argmax[(scores[j] == tmax) | np.isnan(scores[j])] = j
-    return TestField(
-        tmax=tmax,
-        tmin=scores.min(axis=0),
-        argmax_atom=argmax,
-        rows=valid // n_x,
-        cols=valid % n_x,
-        shape=(n_y, n_x),
-    )
+    n = valid.size
+    tmax, tmin = np.empty(n), np.empty(n)
+    argmax = np.zeros(n, dtype=np.intp)
+    # the remainder joins the last block: a short product can take another
+    # BLAS kernel (gemv for one row) that sums in another order
+    starts = range(0, max(n - _BLOCK_PIXELS, 0) + 1, _BLOCK_PIXELS)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        block = slice(start, stop)
+        spectra = np.ascontiguousarray(flat[block])     # C rows for BLAS
+        scores = np.ascontiguousarray(
+            score_matrix(spectra, dictionary.atoms, kind).T)
+        top = scores.max(axis=0, out=tmax[block])
+        scores.min(axis=0, out=tmin[block])
+        best = argmax[block]
+        for j in range(len(scores) - 1, -1, -1):    # the lowest index wins
+            best[(scores[j] == top) | np.isnan(scores[j])] = j
+    return TestField(tmax=tmax, tmin=tmin, argmax_atom=argmax,
+                     rows=valid // n_x, cols=valid % n_x, shape=(n_y, n_x))

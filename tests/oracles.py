@@ -6,8 +6,9 @@ straight from the definitions or the published algorithms.
 
 `fit_null_sorted`, `piecewise_linear_shift` and the `csv.writer` writers
 are the earlier, plainer forms of `nullmodel.fit_null`, of the fractional
-`ReferenceAtom.sampled_shift` and of the fit-artifact writers; the library
-code must reproduce their results bit for bit.  `compute_field_rowwise`,
+`ReferenceAtom.sampled_shift`, of the fit-artifact writers and of
+`pipeline.save_cube` (`save_cube_tobytes`); the library code must
+reproduce their results bit for bit.  `compute_field_rowwise`,
 `standardize_nanmedian` and `check_nan_policy_per_pixel` are the earlier
 forms of `teststat.compute_field`, of the robust standardization in
 `pipeline.preprocess` and of `pipeline._check_nan_policy`; the library
@@ -16,6 +17,7 @@ reproduces them bit for bit up to the sign of a zero (see
 
 import csv
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -275,6 +277,17 @@ def write_dictionary_csv(dictionary, path) -> None:
         writer.writerow(["%.17g" % s for s in dictionary.shifts])
         for row in dictionary.atoms:
             writer.writerow(["%.17g" % v for v in row])
+
+
+def save_cube_tobytes(cube, path) -> None:
+    """`pipeline.save_cube` with a `.tobytes()` copy of every block."""
+    n_y, n_x, l = cube.shape
+    flags = int(cube.variance is not None)
+    with open(path, "wb") as fh:
+        fh.write(b"FDC1")
+        fh.write(struct.pack("<IIIIi", n_y, n_x, l, flags, cube.band_origin))
+        for block in (cube.data, cube.variance)[:1 + flags]:
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
 def equal_up_to_zero_sign(a, b) -> bool:

@@ -78,6 +78,7 @@ def test_ac1_null_estimator_fidelity(dictionary):
           f"worst QQ deviation={worst:.4f} (< 0.05) over 100 replicates")
 
 
+@pytest.mark.slow
 def test_ac2_fdr_control_across_snr(dictionary):
     """Empirical FDR <= q + 0.02 for q in {0.02, 0.05, 0.1, 0.2} at four
     signal strengths over 500 runs, strictly below q at the weakest."""
@@ -258,6 +259,7 @@ def test_ac5_threshold_flattening(reference):
         f"for this reference (decisions ledger, criterion 5)")
 
 
+@pytest.mark.slow
 def test_ac6_quadrature_oracle():
     """Closed forms at rho in {0, +-1} within 1e-8 and agreement with a
     1e7-draw Monte-Carlo within 4 standard errors on 50 random parameter
@@ -319,6 +321,7 @@ def test_ac6_quadrature_oracle():
           f"1e7-draw Monte-Carlo (worst {worst:.2f} SE)")
 
 
+@pytest.mark.slow
 def test_ac7_glr_robustness_contrast(dictionary):
     """Gaussian noise: both methods within +-0.05 of nominal on
     q in [0.05, 0.4].  Student(4) noise: the Gaussian-calibrated baseline

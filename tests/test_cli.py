@@ -266,6 +266,12 @@ class TestMalformedNumbers:
                       "--model", "{conf}", "--out", "{out}"],
                      model_csv("0.5,1,1,-5"),
                      id="detect-model-n-fit-below-n0"),
+        # fit_null's pi0_hat for n0 = 1 of n_fit = 2 is 1
+        pytest.param(["detect", "--cube", "{cube}", "--center", "120,120,17",
+                      "--half-bands", "17", "--dict-in", "{dict}",
+                      "--model", "{conf}", "--out", "{out}"],
+                     model_csv("0.5,0.001,1,2"),
+                     id="detect-model-pi0-tampered"),
         pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "nan",
                       "--m-range", "2..3"], None, id="pfa-bound-tau-nan"),
         pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "inf",

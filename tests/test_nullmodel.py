@@ -311,10 +311,11 @@ class TestSerialization:
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                            min_size=1, max_size=30),
            mu0=st.floats(allow_nan=False, allow_infinity=False),
-           pi0=st.floats(0.0, 1.0, exclude_min=True),
            n_fit=st.integers(30, 2 ** 40))
     def test_bytes_equal_csv_writer_and_round_trip(self, tmp_path_factory,
-                                                   values, mu0, pi0, n_fit):
+                                                   values, mu0, n_fit):
+        # pi0_hat is tied to n0 and n_fit, as fit_null sets it
+        pi0 = min(2 * len(values) / n_fit, 1.0)
         pooled = np.sort(np.array(values * 2), kind="stable")
         model = NullModel(mu0_hat=mu0, pi0_hat=pi0, n0=len(values),
                           n_fit=n_fit, pooled=pooled)
@@ -344,9 +345,12 @@ class TestSerialization:
         (lambda rows: rows[:1] + [rows[1].rsplit(",", 1)[0] + ",1"]
          + rows[2:], "n0 <= n_fit"),
         (lambda rows: rows[:1] + ["0.5,1,0,50"], "1 <= n0"),
+        (lambda rows: rows[:1] + [",".join(
+            [rows[1].split(",")[0], "0.001", *rows[1].split(",")[2:]])]
+         + rows[2:], "pi0_hat must equal"),
     ], ids=["abc", "two-columns", "values-x", "short-values", "header",
             "reversed", "nan", "inf", "one-short", "mu0-nan",
-            "n-fit-below-n0", "n0-0"])
+            "n-fit-below-n0", "n0-0", "pi0-tampered"])
     def test_load_fails_closed(self, rng, tmp_path, edit, message):
         path = tmp_path / "model.csv"
         fit_null(random_field(rng, 50)).save_csv(path)

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -13,7 +14,8 @@ from shiftdetect.errors import DataError
 from shiftdetect.nullmodel import NullModel
 from shiftdetect.pipeline import (Cube, DictionaryParams, FsfKernel,
                                   RegionSpec, _check_nan_policy, _nanmedian,
-                                  estimate_reference, extract, gaussian_fsf,
+                                  _write_grid, estimate_reference, extract,
+                                  gaussian_fsf,
                                   load_cube, load_cube_csvdir, preprocess,
                                   run_detection, save_cube, save_cube_csvdir,
                                   write_maps, write_pgm)
@@ -22,7 +24,7 @@ from shiftdetect.simulate import NoiseSpec, SimConfig, generate
 from shiftdetect.teststat import masked_spectra
 
 from oracles import (check_nan_policy_per_pixel, equal_up_to_zero_sign,
-                     standardize_nanmedian)
+                     save_cube_tobytes, standardize_nanmedian)
 
 SAD = SimilarityKind.SPECTRAL_ANGLE
 
@@ -133,6 +135,29 @@ class TestBinaryIO:
         assert np.array_equal(back.data, cube.data, equal_nan=True)
         assert np.array_equal(back.variance, cube.variance, equal_nan=True)
         assert back.band_origin == 7
+
+    @pytest.mark.parametrize("layout", ["float32", "big-endian", "strided",
+                                        "fortran"])
+    def test_bytes_equal_tobytes_writer(self, rng, tmp_path, layout):
+        # a Cube holds native float64; the writer converts anything else
+        data = rng.standard_normal((5, 6, 7))
+        var = rng.uniform(0.5, 2.0, data.shape)
+        data[1, 2] = var[1, 2] = np.nan
+        if layout in ("float32", "big-endian"):
+            dtype = {"float32": np.float32, "big-endian": ">f8"}[layout]
+            cube = SimpleNamespace(data=data.astype(dtype),
+                                   variance=var.astype(dtype),
+                                   shape=data.shape, band_origin=-3)
+        elif layout == "strided":
+            wide = np.zeros((5, 12, 9))
+            wide[:, ::2, 1:8] = data
+            cube = Cube(data=wide[:, ::2, 1:8], variance=var, band_origin=-3)
+        else:
+            cube = Cube(data=np.asfortranarray(data), band_origin=-3)
+        save_cube(cube, tmp_path / "fast.fdc")
+        save_cube_tobytes(cube, tmp_path / "oracle.fdc")
+        assert (tmp_path / "fast.fdc").read_bytes() == \
+            (tmp_path / "oracle.fdc").read_bytes()
 
     def test_hand_written_fixture(self, tmp_path):
         # independent byte-level construction of a 2x2x3 cube
@@ -328,6 +353,28 @@ class TestPreprocess:
         assert masked_spectra(out.data)[3, 3]
         assert masked_spectra(out.data).sum() == 1
 
+    @pytest.mark.parametrize("kwargs, bound", [
+        ({"fsf": gaussian_fsf(5, 1.0)}, 2.5),
+        ({}, 2.5),
+        ({"use_variance": False}, 2.5),
+        ({"fsf": gaussian_fsf(5, 1.0), "baseline_window": 5}, 3.5),
+    ], ids=["variance-kernel", "variance", "plain", "baseline-kernel"])
+    def test_peak_memory_in_cube_sizes(self, rng, kwargs, bound):
+        # measured peaks: 2.13, 2.08, 2.00 and 3.09 cube sizes (the band-
+        # major copy, its C-order copy and the convolution's output, with
+        # the baseline's cube before them).  The first, the CLI's
+        # `preprocess --fsf`, was 3.05 before the band-major copy.
+        from scipy import ndimage  # noqa: F401  (its import is not counted)
+        cube = random_cube(rng, shape=(120, 100, 20), variance=True,
+                           mask_pixel=(5, 5))
+        tracemalloc.start()
+        try:
+            preprocess(cube, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * cube.data.nbytes, peak / cube.data.nbytes
+
     def test_symmetry_preserved(self, rng):
         # preprocessing keeps symmetric noise symmetric: sign balance and
         # mirrored quantiles around the (zero) median
@@ -372,19 +419,70 @@ class TestExactMedians:
         assert equal_up_to_zero_sign(got, expected)
 
     @settings(max_examples=300, deadline=None)
-    @given(case=masked_cubes(), use_variance=st.booleans())
-    def test_preprocess_equals_nanmedian_form(self, case, use_variance):
+    @given(case=masked_cubes(), use_variance=st.booleans(),
+           layout=st.sampled_from(["C", "F", "strided"]),
+           baseline=st.sampled_from([None, 3, 5]),
+           fsf=st.sampled_from([None, "uniform", "gaussian"]),
+           infinite=st.integers(0, 4))
+    def test_preprocess_equals_nanmedian_form(self, case, use_variance,
+                                              layout, baseline, fsf,
+                                              infinite):
+        # the band-major standardization against the band-by-band form,
+        # whatever the input layout, with the baseline and kernel steps as
+        # the earlier code ran them around it; now and then one voxel is
+        # infinite in data and variance alike, so inf/inf makes a NaN in
+        # an unmasked pixel that the kernel step must zero-fill
         data, var = case
-        cube = Cube(data=data, variance=var)
         use_variance = use_variance and var is not None
-        try:
-            expected = standardize_nanmedian(cube, use_variance)
-        except DataError as exc:
-            with pytest.raises(DataError, match=re.escape(str(exc))):
-                preprocess(cube, use_variance=use_variance)
-            return
-        got = preprocess(cube, use_variance=use_variance).data
+        if infinite == 0 and var is not None \
+                and not np.isnan(data[0, 0]).any():
+            data[0, 0, 0] = var[0, 0, 0] = np.inf
+        blocks = [data, var]
+        for k, block in enumerate(blocks):
+            if block is not None and layout == "F":
+                blocks[k] = np.asfortranarray(block)
+            elif block is not None and layout == "strided":
+                wide = np.zeros((block.shape[0], 2 * block.shape[1],
+                                 block.shape[2] + 1))
+                wide[:, ::2, 1:] = block
+                blocks[k] = wide[:, ::2, 1:]
+        cube = Cube(data=blocks[0], variance=blocks[1])
+        before = [b.tobytes() for b in blocks if b is not None]
+        kernel = {None: None, "uniform": FsfKernel(np.ones((3, 3))),
+                  "gaussian": gaussian_fsf(5, 1.0)}[fsf]
+        with np.errstate(invalid="ignore"):     # inf/inf, inf - inf
+            try:
+                expected = self.earlier_preprocess(cube, use_variance,
+                                                   baseline, kernel)
+            except DataError as exc:
+                with pytest.raises(DataError, match=re.escape(str(exc))):
+                    preprocess(cube, kernel, baseline, use_variance)
+                return
+            got = preprocess(cube, kernel, baseline, use_variance).data
         assert equal_up_to_zero_sign(got, expected)
+        assert got.flags.c_contiguous
+        assert [b.tobytes() for b in blocks if b is not None] == before
+
+    @staticmethod
+    def earlier_preprocess(cube, use_variance, baseline, kernel):
+        """`standardize_nanmedian` between the baseline and kernel steps
+        as `preprocess` ran them before the band-major standardization:
+        a NaN-to-zero copy of the whole cube before the convolution."""
+        from scipy import ndimage
+        data = cube.data
+        if baseline is not None:
+            data = data - ndimage.median_filter(data, size=(1, 1, baseline),
+                                                mode="reflect")
+        data = standardize_nanmedian(Cube(data=data, variance=cube.variance),
+                                     use_variance)
+        if kernel is not None:
+            masked = masked_spectra(cube.data)
+            data = ndimage.convolve(np.where(np.isnan(data), 0.0, data),
+                                    kernel.weights[:, :, None],
+                                    mode="reflect")
+            if masked is not None:
+                data[masked] = np.nan
+        return data
 
     def test_all_masked_band_raises_without_warning(self):
         # pytest turns warnings into errors: numpy's "All-NaN slice"
@@ -637,6 +735,20 @@ class TestMapOutput:
                        delimiter=",")
             assert (root / "cube" / f"band{b:04d}.csv").read_bytes() == \
                 (root / f"band{b}.csv").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                  max_side=40)),
+           transpose=st.booleans())
+    def test_bool_grid_bytes_equal_formatted_grid(self, tmp_path_factory,
+                                                  grid, transpose):
+        # the 0/1 digits of a boolean map are the %.17g text of 0.0 and 1.0
+        grid = grid.T if transpose else grid
+        root = tmp_path_factory.mktemp("grid")
+        _write_grid(root / "bool.csv", grid)
+        _write_grid(root / "float.csv", grid.astype(float))
+        assert (root / "bool.csv").read_bytes() == \
+            (root / "float.csv").read_bytes()
 
     def test_pgm_handles_nan(self, tmp_path):
         arr = np.array([[0.0, np.nan], [0.5, 1.0]])

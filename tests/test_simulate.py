@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +309,37 @@ class TestFdrSnrSweep:
         args = {**dict(snr_list=[-14.0], q_list=[0.1], runs=1), **kw}
         with pytest.raises(DataError):
             fdr_snr_sweep(line_dictionary, **args)
+
+
+# Run in a fresh interpreter: whether scipy.ndimage is loaded when
+# `fdr_snr_sweep` builds its worker pool, and before the sweep started.
+POOL_PROBE = """
+import concurrent.futures, json, sys
+from shiftdetect.dictionary import build_lss, gaussian_line_reference
+from shiftdetect.simulate import fdr_snr_sweep
+
+class Probe:
+    def __init__(self, max_workers):
+        report["pool"] = "scipy.ndimage" in sys.modules
+        raise SystemExit(json.dumps(report))
+
+report = {"before": "scipy.ndimage" in sys.modules}
+concurrent.futures.ProcessPoolExecutor = Probe
+fdr_snr_sweep(build_lss(gaussian_line_reference(8, 4, 3.0), 3, 1.0), [-10.0],
+              [0.1], runs=1, threads=2)
+"""
+
+
+def test_pool_workers_inherit_ndimage():
+    # every replicate draws its cube through scipy.ndimage; a forked worker
+    # that had to import it would pay about 0.3 s for the import alone
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve()
+                                            .parent.parent / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stderr) == {"before": False, "pool": True}
 
 
 def no_draw(config):

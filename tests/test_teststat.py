@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -164,7 +166,40 @@ class TestComputeFieldOracle:
     @settings(max_examples=300, deadline=None)
     @given(case=field_cases())
     def test_equals_rowwise_form(self, case):
-        data, dictionary, kind = case
+        self.check_equals_rowwise_form(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=field_cases(), block=st.integers(2, 9))
+    def test_equals_rowwise_form_across_blocks(self, case, block):
+        # blocks of 2..9 spectra: masked pixels, zero spectra, ties and
+        # NaN or infinite scores fall on both sides of block edges.  (A
+        # block of one row is a matrix-vector product, summed otherwise.)
+        with mock.patch.object(teststat, "_BLOCK_PIXELS", block):
+            self.check_equals_rowwise_form(*case)
+
+    def test_block_edges_planted(self, line_dictionary, rng):
+        # with blocks of 4 spectra: a masked pixel inside block 0, zero
+        # spectra astride the first edge, infinities (NaN scores) astride
+        # the second, and tied quantised spectra everywhere else
+        data = rng.integers(-1, 2, (23, 30)) * 0.5
+        data[3] = np.nan
+        data[[4, 5]] = 0.0
+        data[8, 7] = np.inf
+        data[9, 7] = -np.inf
+        with mock.patch.object(teststat, "_BLOCK_PIXELS", 4):
+            self.check_equals_rowwise_form(data, line_dictionary, SAD)
+
+    def test_equals_rowwise_form_on_a_large_field(self, line_dictionary,
+                                                 rng):
+        # 13,200 pixels, about 200 of them masked: three blocks of the
+        # default size, each product on BLAS's full-size kernels
+        data = rng.standard_normal((120, 110, 30))
+        data[rng.random((120, 110)) < 200 / 13_200] = np.nan
+        for kind in (MF, SAD):
+            self.check_equals_rowwise_form(data, line_dictionary, kind)
+
+    @staticmethod
+    def check_equals_rowwise_form(data, dictionary, kind):
         # an infinity can make NaN scores, with numpy's invalid-value flag
         with np.errstate(all="ignore"):
             try:
@@ -196,6 +231,27 @@ class TestComputeFieldOracle:
         cube[1, 2] = np.nan
         assert compute_field(cube, line_dictionary, SAD).n == 19
         assert calls == [(19, 30)]
+        # one call per block of unmasked spectra; the last block takes the
+        # remainder
+        calls.clear()
+        monkeypatch.setattr(teststat, "_BLOCK_PIXELS", 8)
+        assert compute_field(cube, line_dictionary, SAD).n == 19
+        assert calls == [(8, 30), (11, 30)]
+
+    def test_peak_memory_bounded(self, line_dictionary, rng):
+        # 200x200x30, the fit window: 9.6 MB of spectra, 4.8 MB of scores
+        # for the whole field.  Blocks hold the peak to the outputs (1.6 MB
+        # with rows and cols), a NaN screen (1.2 MB) and the largest
+        # block's scores: 4.5 MB measured, against 15.4 MB when the whole
+        # field was scored at once.
+        cube = rng.standard_normal((200, 200, 30))
+        tracemalloc.start()
+        try:
+            compute_field(cube, line_dictionary, SAD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000, peak
 
 
 class TestTestFieldContainer:
