@@ -9,9 +9,10 @@ are the earlier, plainer forms of `nullmodel.fit_null`, of the fractional
 `ReferenceAtom.sampled_shift`, of the fit-artifact writers and of
 `pipeline.save_cube` (`save_cube_tobytes`); the library code must
 reproduce their results bit for bit.  `compute_field_rowwise`,
-`standardize_nanmedian` and `check_nan_policy_per_pixel` are the earlier
-forms of `teststat.compute_field`, of the robust standardization in
-`pipeline.preprocess` and of `pipeline._check_nan_policy`; the library
+`standardize_nanmedian` (and `preprocess_where_fill`, the steps around
+it) and `check_nan_policy_per_pixel` are the earlier forms of
+`teststat.compute_field`, of `pipeline.preprocess` and of
+`pipeline._check_nan_policy`; the library
 reproduces them bit for bit up to the sign of a zero (see
 `equal_up_to_zero_sign`)."""
 
@@ -26,8 +27,9 @@ from scipy.special import ndtr
 from shiftdetect.errors import DataError
 from shiftdetect.nullmodel import NullModel
 from shiftdetect.pfabound import _rules
+from shiftdetect.pipeline import Cube
 from shiftdetect.similarity import SimilarityKind, score_matrix
-from shiftdetect.teststat import TestField
+from shiftdetect.teststat import TestField, masked_spectra
 
 _TWOPI = 2.0 * math.pi
 _GL20_X, _GL20_W, _PATH_T, _PATH_W = _rules()
@@ -344,6 +346,26 @@ def standardize_nanmedian(cube, use_variance) -> np.ndarray:
         if not np.isfinite(scale) or scale <= 0:
             raise DataError(f"degenerate band {b}: zero spread")
         data[:, :, b] = band / scale
+    return data
+
+
+def preprocess_where_fill(cube, use_variance, baseline, kernel) -> np.ndarray:
+    """`preprocess` as it ran before the band-major standardization: the
+    baseline step, `standardize_nanmedian`, then a NaN-to-zero copy of the
+    whole cube for the convolution and NaN back on the masked pixels."""
+    from scipy import ndimage
+    data = cube.data
+    if baseline is not None:
+        data = data - ndimage.median_filter(data, size=(1, 1, baseline),
+                                            mode="reflect")
+    data = standardize_nanmedian(Cube(data=data, variance=cube.variance),
+                                 use_variance)
+    if kernel is not None:
+        masked = masked_spectra(cube.data)
+        data = ndimage.convolve(np.where(np.isnan(data), 0.0, data),
+                                kernel.weights[:, :, None], mode="reflect")
+        if masked is not None:
+            data[masked] = np.nan
     return data
 
 

@@ -24,7 +24,8 @@ from shiftdetect.simulate import NoiseSpec, SimConfig, generate
 from shiftdetect.teststat import masked_spectra
 
 from oracles import (check_nan_policy_per_pixel, equal_up_to_zero_sign,
-                     save_cube_tobytes, standardize_nanmedian)
+                     preprocess_where_fill, save_cube_tobytes,
+                     standardize_nanmedian)
 
 SAD = SimilarityKind.SPECTRAL_ANGLE
 
@@ -452,8 +453,8 @@ class TestExactMedians:
                   "gaussian": gaussian_fsf(5, 1.0)}[fsf]
         with np.errstate(invalid="ignore"):     # inf/inf, inf - inf
             try:
-                expected = self.earlier_preprocess(cube, use_variance,
-                                                   baseline, kernel)
+                expected = preprocess_where_fill(cube, use_variance, baseline,
+                                                kernel)
             except DataError as exc:
                 with pytest.raises(DataError, match=re.escape(str(exc))):
                     preprocess(cube, kernel, baseline, use_variance)
@@ -462,27 +463,6 @@ class TestExactMedians:
         assert equal_up_to_zero_sign(got, expected)
         assert got.flags.c_contiguous
         assert [b.tobytes() for b in blocks if b is not None] == before
-
-    @staticmethod
-    def earlier_preprocess(cube, use_variance, baseline, kernel):
-        """`standardize_nanmedian` between the baseline and kernel steps
-        as `preprocess` ran them before the band-major standardization:
-        a NaN-to-zero copy of the whole cube before the convolution."""
-        from scipy import ndimage
-        data = cube.data
-        if baseline is not None:
-            data = data - ndimage.median_filter(data, size=(1, 1, baseline),
-                                                mode="reflect")
-        data = standardize_nanmedian(Cube(data=data, variance=cube.variance),
-                                     use_variance)
-        if kernel is not None:
-            masked = masked_spectra(cube.data)
-            data = ndimage.convolve(np.where(np.isnan(data), 0.0, data),
-                                    kernel.weights[:, :, None],
-                                    mode="reflect")
-            if masked is not None:
-                data[masked] = np.nan
-        return data
 
     def test_all_masked_band_raises_without_warning(self):
         # pytest turns warnings into errors: numpy's "All-NaN slice"
