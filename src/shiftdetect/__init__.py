@@ -8,7 +8,7 @@ and controls the false discovery rate of the decision map.
 
 from .dictionary import (Dictionary, GaussianLineModel, ReferenceAtom,
                          autocorrelation, build_lss, expected_max_gain,
-                         gaussian_line_reference, lss_shift_grid)
+                         gaussian_line_reference)
 from .errors import DataError, NumericError
 from .fdr import DetectionResult, bh_reject, detect, qvalues, storey_pi0
 from .nullmodel import NullModel, empirical_pvalues, fit_null
@@ -23,8 +23,7 @@ from .similarity import SimilarityKind
 from .simulate import (GroundTruth, Metrics, NoiseSpec, SimConfig,
                        calibrate_glr_null, disk_mask, fdr_snr_sweep,
                        generate, glr_contrast, glr_field, glr_pvalues,
-                       score, uniform_kernel,
-                       variance_preserving_kernel)
+                       score)
 from .teststat import TestField, compute_field
 
 __version__ = "0.1.0"
@@ -41,9 +40,8 @@ __all__ = [
     "fit_null", "gaussian_fsf",
     "gaussian_line_reference", "generate", "glr_contrast", "glr_field",
     "glr_pvalues", "load_cube", "load_cube_csvdir",
-    "lss_shift_grid", "normal_cdf_2d", "normal_cdf_3d",
+    "normal_cdf_2d", "normal_cdf_3d",
     "pfa_bound", "pfa_exact_orthogonal", "preprocess", "qvalues",
     "run_detection", "save_cube", "save_cube_csvdir", "score",
-    "storey_pi0", "threshold_for_pfa", "uniform_kernel",
-    "variance_preserving_kernel", "write_maps", "write_pgm",
+    "storey_pi0", "threshold_for_pfa", "write_maps", "write_pgm",
 ]

@@ -25,7 +25,7 @@ from .pipeline import (DictionaryParams, FsfKernel, RegionSpec, fit_region,
                        read_key_values, read_numbers, run_detection,
                        save_cube, save_cube_csvdir, write_maps)
 from .similarity import SimilarityKind
-from .simulate import NoiseSpec, fdr_snr_sweep, glr_contrast, uniform_kernel
+from .simulate import NoiseSpec, fdr_snr_sweep, glr_contrast
 
 
 def _load_any_cube(path, window=None):
@@ -74,7 +74,7 @@ def _fdr_power_rows(aggregate) -> list:
 def _build_fsf(spec) -> FsfKernel:
     kind, _, arg = spec.partition(":")
     if kind == "gaussian":
-        return gaussian_fsf(size=5, sigma=_number(arg or 1.0, float, "--fsf"))
+        return gaussian_fsf(_number(arg or 1.0, float, "--fsf"))
     if kind == "uniform":
         size = _number(arg or 3, int, "--fsf")
         if size < 1:
@@ -180,10 +180,10 @@ def cmd_simulate(args) -> int:
                       nu=get("nu", 5.0, float))
     kernel_spec = conf.get("kernel", "uniform3")
     if kernel_spec == "none":
-        kernel = None
+        kernel_size = None
     elif kernel_spec.startswith("uniform"):
-        kernel = uniform_kernel(_number(kernel_spec[len("uniform"):] or 3,
-                                        int, f"{args.config}: kernel"))
+        kernel_size = _number(kernel_spec[len("uniform"):] or 3, int,
+                              f"{args.config}: kernel")
     else:
         raise DataError(f"unknown kernel spec {kernel_spec!r}")
     kind = SimilarityKind.parse(conf.get("similarity", args.similarity))
@@ -196,7 +196,7 @@ def cmd_simulate(args) -> int:
         dictionary, snr_list, q_list, runs=args.runs, seed=args.seed,
         test_shape=(get("ny", 51, int), get("nx", 51, int)),
         fit_shape=(get("fit_ny", 200, int), get("fit_nx", 200, int)),
-        noise=noise, pi0=get("pi0", 0.81, float), kernel=kernel,
+        noise=noise, pi0=get("pi0", 0.81, float), kernel_size=kernel_size,
         kind=kind, threads=args.threads)
 
     os.makedirs(args.out, exist_ok=True)
@@ -215,7 +215,7 @@ def cmd_pfa_bound(args) -> int:
     if not 0 <= args.amplitude < np.inf:
         raise DataError(f"--amplitude must be finite and >= 0, "
                         f"got {args.amplitude}")
-    # build_lss checks tau only for m >= 2
+    # the m = 1 row builds with tau = 0, so build_lss may never see --tau
     if not 0 <= args.tau < np.inf:
         raise DataError(f"--tau must be finite and >= 0, got {args.tau}")
     values = read_numbers(args.reference).ravel()
@@ -350,10 +350,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -192,23 +192,15 @@ class Dictionary:
         return cls(atoms=atoms, shifts=shifts, tau=tau)
 
 
-def lss_shift_grid(m: int, tau: float) -> np.ndarray:
-    """Linearly spaced shifts -tau + 2*tau*k/(m-1), k = 0..m-1."""
-    if m == 1:
-        return np.zeros(1)
-    k = np.arange(m, dtype=float)
-    return -tau + 2.0 * tau * k / (m - 1)
-
-
 def build_lss(reference: ReferenceAtom, m: int, tau: float, *,
               gram_tol: float = NORM_TOL) -> Dictionary:
     """Build the linearly-spaced-shift dictionary of size m over [-tau, tau].
 
-    Each atom is `reference.unit_shift` at its grid shift: whole-band
-    shifts roll the samples, fractional ones resample the line profile.
-    Atoms pushed partially off the sampled support are truncated and
-    renormalized; an atom entirely off support raises
-    ``DataError("atom vanished")``.
+    Atom k is `reference.unit_shift` at -tau + 2*tau*k/(m-1) (size 1 is
+    the reference itself, with tau = 0): whole-band shifts roll the
+    samples, fractional ones resample the line profile.  Atoms pushed
+    partially off the sampled support are truncated and renormalized; an
+    atom entirely off support raises ``DataError("atom vanished")``.
 
     For a reference with negative entries the pairwise inner products of
     the shifted atoms must stay above -gram_tol.  The strict default suits
@@ -226,7 +218,7 @@ def build_lss(reference: ReferenceAtom, m: int, tau: float, *,
         return Dictionary(atoms=reference.values[None, :].copy(),
                           shifts=np.zeros(1), tau=0.0, reference=reference)
 
-    shifts = lss_shift_grid(m, tau)
+    shifts = -tau + 2.0 * tau * np.arange(m, dtype=float) / (m - 1)
     atoms = np.empty((m, reference.length))
     for i, s in enumerate(shifts):
         atom = reference.unit_shift(s)

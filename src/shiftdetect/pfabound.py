@@ -269,17 +269,18 @@ def normal_cdf_3d(h: float, k: float, j: float, rho12: float, rho13: float,
 
 def pfa_exact_orthogonal(m: int, eta: float) -> float:
     """Exact max-test false-alarm probability 1 - Phi(eta)^m for m
-    orthogonal unit atoms under N(0, I) noise."""
-    from scipy.special import ndtr
+    orthogonal unit atoms under N(0, I) noise, via log Phi: no cancellation."""
+    from scipy.special import log_ndtr
     if m < 1:
         raise DataError("m must be >= 1")
-    return float(-np.expm1(m * np.log(ndtr(eta)))) if ndtr(eta) > 0 else 1.0
+    return float(-np.expm1(m * log_ndtr(eta)))
 
 
 def threshold_for_pfa_orthogonal(m: int, alpha: float) -> float:
-    """Threshold with exact false-alarm alpha for m orthogonal atoms."""
+    """Threshold with exact false-alarm alpha for m orthogonal atoms,
+    solved on the upper tail Phi(-eta) = 1 - (1 - alpha)^(1/m)."""
     from scipy.special import ndtri
-    return float(ndtri((1.0 - alpha) ** (1.0 / m)))
+    return float(-ndtri(-math.expm1(math.log1p(-alpha) / m)))
 
 
 class _BoundRecursion:

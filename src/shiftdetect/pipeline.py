@@ -82,12 +82,11 @@ class FsfKernel:
         object.__setattr__(self, "weights", w / total)
 
 
-def gaussian_fsf(size: int, sigma: float) -> FsfKernel:
-    if size % 2 == 0:
-        raise DataError("kernel size must be odd")
+def gaussian_fsf(sigma: float) -> FsfKernel:
+    """Gaussian FSF of width sigma pixels on a 5x5 square, unit sum."""
     if not 0 < sigma < np.inf:     # written so that NaN fails too
         raise DataError(f"kernel sigma must be positive and finite: {sigma}")
-    r = np.arange(size) - size // 2
+    r = np.arange(-2, 3)
     g = np.exp(-0.5 * (r / sigma) ** 2)
     return FsfKernel(np.outer(g, g))
 

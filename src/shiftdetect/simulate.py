@@ -55,23 +55,6 @@ class NoiseSpec:
         return rng.standard_t(self.nu, size=shape)
 
 
-def variance_preserving_kernel(weights) -> np.ndarray:
-    """Scale a spatial kernel so that sum of squares is 1, which keeps the
-    marginal variance of i.i.d. noise unchanged after convolution."""
-    w = np.asarray(weights, dtype=float)
-    ss = float(np.sum(w * w))
-    if not np.isfinite(ss) or ss <= 0:
-        raise DataError("kernel must have positive, finite energy")
-    return w / math.sqrt(ss)
-
-
-def uniform_kernel(size: int = 3) -> np.ndarray:
-    """Variance-preserving uniform size x size kernel (entries 1/size)."""
-    if size < 1:
-        raise DataError(f"uniform kernel size must be >= 1, got {size}")
-    return variance_preserving_kernel(np.ones((size, size)))
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One synthetic-cube experiment.
@@ -81,6 +64,8 @@ class SimConfig:
     (which needs the dictionary's reference).  target_snr, when set,
     must be finite; it rescales the drawn amplitudes so the realized total
     signal energy matches 10 log10(A / (n l sigma^2)) = target_snr.
+    kernel_size k, when set, smooths every band with the uniform k x k
+    kernel of weights 1/k, which keeps the noise variance.
     """
 
     n_y: int
@@ -90,7 +75,7 @@ class SimConfig:
     pi0: float
     amplitude_range: tuple = (0.1, 3.0)
     seed: int = 0
-    spatial_kernel: Optional[np.ndarray] = None
+    kernel_size: Optional[int] = None
     signal_atom: Optional[int] = None
     target_snr: Optional[float] = None
 
@@ -102,11 +87,9 @@ class SimConfig:
         lo, hi = self.amplitude_range
         if not (0 <= lo <= hi):
             raise DataError("bad amplitude range")
-        if self.spatial_kernel is not None:
-            k = np.asarray(self.spatial_kernel, dtype=float)
-            if k.ndim != 2 or not np.all(np.isfinite(k)):
-                raise DataError("spatial kernel must be a finite 2-d array")
-            object.__setattr__(self, "spatial_kernel", k)
+        if self.kernel_size is not None and self.kernel_size < 1:
+            raise DataError(f"uniform kernel size must be >= 1, "
+                            f"got {self.kernel_size}")
         if self.signal_atom is not None and not (
                 0 <= self.signal_atom < self.dictionary.m):
             raise DataError("signal_atom out of range")
@@ -195,12 +178,11 @@ def generate(config: SimConfig) -> tuple:
     injected = np.zeros((n_y, n_x), dtype=bool)
     injected[rows, cols] = True
     data = noise + signal
-    if config.spatial_kernel is not None:
-        data = ndimage.convolve(data, config.spatial_kernel[:, :, None],
-                                mode="reflect")
-        footprint = config.spatial_kernel != 0.0
+    k = config.kernel_size
+    if k is not None:
+        data = ndimage.convolve(data, np.ones((k, k, 1)) / k, mode="reflect")
         h1_mask = ndimage.binary_dilation(injected,
-                                          structure=footprint[::-1, ::-1])
+                                          structure=np.ones((k, k), bool))
     else:
         h1_mask = injected
 
@@ -234,11 +216,11 @@ def glr_field(cube, dictionary: Dictionary, sigma_diag) -> np.ndarray:
     return (num / den).max(axis=1)
 
 
-def calibrate_glr_null(dictionary: Dictionary, n_runs: int = 10 ** 4,
-                       seed: int = 0) -> np.ndarray:
-    """Null sample of the GLR statistic under N(0, I) noise, sorted."""
+def calibrate_glr_null(dictionary: Dictionary, seed: int = 0) -> np.ndarray:
+    """Null sample of the GLR statistic under N(0, I) noise from 10^4
+    Monte-Carlo draws, sorted."""
     rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((n_runs, dictionary.length))
+    eps = rng.standard_normal((10 ** 4, dictionary.length))
     stats = (eps @ dictionary.atoms.T).max(axis=1)
     return np.sort(stats)
 
@@ -322,7 +304,7 @@ def _derived_seed(*key) -> np.random.SeedSequence:
 def _sweep_replicate(task):
     """One (snr, replicate) cell of the FDR sweep; module-level so worker
     processes can pickle it."""
-    (dictionary, noise, pi0, kernel, kind, seed, snr_idx, snr_db, rep,
+    (dictionary, noise, pi0, kernel_size, kind, seed, snr_idx, snr_db, rep,
      fit_shape, test_shape, q_list) = task
     # the SNR axis normalizes by each cube's own pixel count, so passing
     # the same value gives fit and test cubes the same per-pixel
@@ -330,7 +312,7 @@ def _sweep_replicate(task):
     fit_cfg = SimConfig(
         n_y=fit_shape[0], n_x=fit_shape[1], noise=noise, dictionary=dictionary,
         pi0=pi0, seed=_derived_seed(seed, snr_idx, rep, 0),
-        spatial_kernel=kernel, signal_atom=dictionary.m // 2,
+        kernel_size=kernel_size, signal_atom=dictionary.m // 2,
         target_snr=snr_db)
     test_cfg = replace(fit_cfg, n_y=test_shape[0], n_x=test_shape[1],
                        seed=_derived_seed(seed, snr_idx, rep, 1))
@@ -354,20 +336,21 @@ def fdr_snr_sweep(dictionary: Dictionary, snr_list, q_list, runs: int,
                   seed: int = 0, test_shape=(51, 51), fit_shape=(200, 200),
                   noise: NoiseSpec = NoiseSpec("student", nu=5.0),
                   pi0: float = 0.81,
-                  kernel: Optional[np.ndarray] = uniform_kernel(3),
+                  kernel_size: Optional[int] = 3,
                   kind: SimilarityKind = SimilarityKind.SPECTRAL_ANGLE,
                   threads: int = 1):
     """Empirical FDR and power on spatially convolved cubes across a grid
     of nominal levels and signal strengths.
 
     Every contaminated pixel carries the central atom (index m // 2).  The
-    cubes are convolved with `kernel`, uniform 3x3 unless given; None
-    leaves them unsmoothed.  The null model is refit per replicate on an
-    extended cube drawn from the same contaminated process, then applied to
-    the test cube; all nominal levels share each replicate.  Replicates
-    draw their seeds from (seed, snr-index, replicate) so results are
-    identical whether run serially or on a worker pool.  Returns (records,
-    aggregate): per-run dicts and mean FDR / power keyed by (snr, q).
+    cubes are smoothed with the uniform kernel_size x kernel_size kernel
+    of `SimConfig`, 3x3 unless given; None leaves them unsmoothed.  The
+    null model is refit per replicate on an extended cube drawn from the
+    same contaminated process, then applied to the test cube; all nominal
+    levels share each replicate.  Replicates draw their seeds from (seed,
+    snr-index, replicate) so results are identical whether run serially or
+    on a worker pool.  Returns (records, aggregate): per-run dicts and mean
+    FDR / power keyed by (snr, q).
     """
     if runs < 1:
         raise DataError(f"runs must be >= 1, got {runs}")
@@ -375,8 +358,8 @@ def fdr_snr_sweep(dictionary: Dictionary, snr_list, q_list, runs: int,
         raise DataError("snr_list and q_list must be non-empty")
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
-    tasks = [(dictionary, noise, pi0, kernel, kind, seed, snr_idx, snr_db,
-              rep, fit_shape, test_shape, tuple(q_list))
+    tasks = [(dictionary, noise, pi0, kernel_size, kind, seed, snr_idx,
+              snr_db, rep, fit_shape, test_shape, tuple(q_list))
              for snr_idx, snr_db in enumerate(snr_list)
              for rep in range(runs)]
     if threads > 1:
@@ -423,7 +406,7 @@ def glr_contrast(dictionary: Dictionary, noise: NoiseSpec, q_list,
         raise DataError(f"runs must be >= 1, got {runs}")
     if len(q_list) == 0:
         raise DataError("q_list must be non-empty")
-    null_sample = calibrate_glr_null(dictionary, 10 ** 4,
+    null_sample = calibrate_glr_null(dictionary,
                                      seed=_derived_seed(seed, 0xca1))
     records = []
     for rep in range(runs):

@@ -12,11 +12,11 @@ from shiftdetect.cli import main
 from shiftdetect.dictionary import (Dictionary, build_lss,
                                     gaussian_line_reference)
 from shiftdetect.errors import DataError
-from shiftdetect.pipeline import (Cube, RegionSpec, estimate_reference,
-                                  load_cube, run_detection, save_cube)
+from shiftdetect.pipeline import (Cube, FsfKernel, RegionSpec,
+                                  estimate_reference, load_cube, preprocess,
+                                  run_detection, save_cube)
 from shiftdetect import simulate
-from shiftdetect.simulate import (NoiseSpec, SimConfig, generate,
-                                  uniform_kernel)
+from shiftdetect.simulate import NoiseSpec, SimConfig, generate
 from tests.test_api import _load_tracing
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -96,6 +96,14 @@ class TestPreprocessDetectFlow:
                               delimiter=",")
         assert detected.shape == (50, 50)
         assert (workdir / "maps" / "map_qvalue.pgm").exists()
+
+    def test_uniform_fsf_equals_api(self, workdir, tmp_path):
+        path = tmp_path / "prep.fdc"
+        assert run("preprocess", "--cube", workdir / "raw.fdc",
+                   "--out", path, "--fsf", "uniform:3") == 0
+        want = preprocess(load_cube(workdir / "raw.fdc"),
+                          FsfKernel(np.ones((3, 3))))
+        assert load_cube(path).data.tobytes() == want.data.tobytes()
 
     def test_model_without_its_dictionary_exits_2(self, workdir):
         # a saved null is only valid under the dictionary it was fitted on
@@ -456,6 +464,13 @@ class TestPfaBoundCommand:
         assert run("pfa-bound", "--reference", workdir / "ref.csv",
                    "--tau", "8", "--m-range", "6..2") == 2
 
+    def test_vanished_atom_exits_2(self, workdir, capsys):
+        # m = 1 builds; m = 2 shifts the line 100 bands off the reference
+        assert run("pfa-bound", "--reference", workdir / "ref.csv",
+                   "--center-band", "15", "--tau", "100",
+                   "--m-range", "1..3") == 2
+        assert "atom vanished" in capsys.readouterr().err
+
     def test_numeric_failure_exits_3(self, workdir, tmp_path):
         # bimodal reference: the overlap curve rises again at the bump
         # separation, so the bound's comparison step is invalid
@@ -484,14 +499,14 @@ class TestSimulateCommand:
         assert len(runs) == 1 + 3 * 2
 
     @pytest.mark.parametrize("line, expected", [
-        ("kernel=none\n", None), ("kernel=uniform3\n", uniform_kernel(3)),
-        ("", uniform_kernel(3))], ids=["none", "uniform3", "default"])
+        ("kernel=none\n", None), ("kernel=uniform3\n", 3), ("", 3)],
+        ids=["none", "uniform3", "default"])
     def test_kernel_reaches_generate(self, tmp_path, monkeypatch, line,
                                      expected):
         kernels = []
 
         def spy(config):
-            kernels.append(config.spatial_kernel)
+            kernels.append(config.kernel_size)
             return generate(config)
 
         monkeypatch.setattr(simulate, "generate", spy)
@@ -500,12 +515,19 @@ class TestSimulateCommand:
                         "q_list=0.1\n" + line)
         assert run("simulate", "--config", conf, "--runs", "1",
                    "--out", tmp_path / "sweep") == 0
-        assert len(kernels) == 2  # fit cube and test cube
-        for kernel in kernels:
-            if expected is None:
-                assert kernel is None
-            else:
-                assert np.array_equal(kernel, expected)
+        assert kernels == [expected, expected]  # fit cube and test cube
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_kernel_size_below_one_exits_2(self, tmp_path, capsys, size,
+                                           threads):
+        conf = tmp_path / "sim.conf"
+        conf.write_text("ny=8\nnx=8\nfit_ny=30\nfit_nx=30\nsnr_list=-10\n"
+                        f"q_list=0.1\nkernel=uniform{size}\n")
+        assert run("--threads", threads, "simulate", "--config", conf,
+                   "--runs", "1", "--out", tmp_path / "sweep") == 2
+        assert (f"uniform kernel size must be >= 1, got {size}"
+                in capsys.readouterr().err)
 
     def test_bad_config_exits_2(self, workdir):
         conf = workdir / "bad.conf"

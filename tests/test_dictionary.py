@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from shiftdetect.dictionary import (Dictionary, ReferenceAtom,
                                     autocorrelation, build_lss,
                                     expected_max_gain,
-                                    gaussian_line_reference, lss_shift_grid)
+                                    gaussian_line_reference)
 from shiftdetect.errors import DataError
 from tests.oracles import piecewise_linear_shift, write_dictionary_csv
 
@@ -50,8 +50,8 @@ class TestReferenceAtom:
 
 
 class TestBuildLss:
-    def test_shift_grid(self):
-        shifts = lss_shift_grid(5, 8.0)
+    def test_shift_grid(self, gauss_reference):
+        shifts = build_lss(gauss_reference, 5, 8.0).shifts
         assert np.allclose(shifts, [-8.0, -4.0, 0.0, 4.0, 8.0])
 
     def test_single_atom(self, gauss_reference):
@@ -200,6 +200,11 @@ class TestAutocorrelation:
 class TestExpectedMaxGain:
     def test_zero_amplitude(self, gauss_reference):
         assert expected_max_gain(gauss_reference, 5, 8.0, 0.0) == 0.0
+
+    def test_zero_tau_is_the_unshifted_overlap(self, gauss_reference):
+        want = 2.7 * autocorrelation(gauss_reference, 0.0)
+        assert expected_max_gain(gauss_reference, 5, 0.0, 2.7) == want
+        assert want == pytest.approx(2.7, abs=1e-12)
 
     def test_dense_grid_approaches_amplitude(self, gauss_reference):
         val = expected_max_gain(gauss_reference, 400, 8.0, 2.7)

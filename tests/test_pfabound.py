@@ -260,6 +260,24 @@ class TestPfaExactOrthogonal:
         se = math.sqrt(est * (1 - est) / n)
         assert abs(pfa_exact_orthogonal(m, eta) - est) < 4 * se
 
+    @pytest.mark.parametrize("m", [1, 2, 20])
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-12, 1e-15])
+    def test_orthogonal_forms_keep_the_tail(self, m, alpha):
+        # 1 - (1 - q)^m from the upper tail q = Phi(-eta), which loses no
+        # digits for small q; forms through Phi(eta) = 1 - q lose them
+        eta = threshold_for_pfa_orthogonal(m, alpha)
+        tail = -math.expm1(m * math.log1p(-float(ndtr(-eta))))
+        assert tail == pytest.approx(alpha, rel=1e-9, abs=0)
+        assert pfa_exact_orthogonal(m, eta) == pytest.approx(tail, rel=1e-12,
+                                                             abs=0)
+
+    def test_orthogonal_threshold_tail_values(self):
+        # 1 - Phi(eta)^2 = alpha solved in 40-digit arithmetic
+        assert threshold_for_pfa_orthogonal(2, 1e-12) == pytest.approx(
+            7.1305068, abs=1e-7)
+        assert threshold_for_pfa_orthogonal(2, 1e-15) == pytest.approx(
+            8.0268589, abs=1e-7)
+
 
 class TestPfaBound:
     def test_orthogonal_reduction_exact(self):
@@ -418,7 +436,7 @@ class TestSharedRecursion:
     def test_table_equals_per_m_bisection(self, fwhm, tau, alpha, ms):
         ref = gaussian_line_reference(40, 20, fwhm, 6.0)
         table = threshold_table(ref, tau, ms, alpha)
-        want = [float(ndtri(1.0 - alpha)) if m == 1 else
+        want = [threshold_for_pfa_orthogonal(1, alpha) if m == 1 else
                 direct_threshold(ref, m, tau, alpha) for m in ms]
         assert table == want
 
@@ -429,11 +447,23 @@ class TestSharedRecursion:
             d = build_lss(_STANDARD_REF, m, 8.0 if m > 1 else 0.0)
             assert eta == threshold_for_pfa(d, 0.05)
 
+    @pytest.mark.parametrize("tau, alpha", [(0.5, 1.0 - 1e-12),
+                                            (8.0, 1e-15)],
+                             ids=["lo-widened", "hi-widened"])
+    def test_table_widens_bracket_like_per_m(self, tau, alpha):
+        # the thresholds lie outside the monotonicity grid [-6, 8], so the
+        # bracket is widened below (to -14) or above (to 16)
+        table = threshold_table(_STANDARD_REF, tau, [2, 5], alpha)
+        assert not any(-6.0 <= eta <= 8.0 for eta in table)
+        assert table == [direct_threshold(_STANDARD_REF, m, tau, alpha)
+                         for m in (2, 5)]
+
     def test_table_validates_like_per_m(self):
         with pytest.raises(DataError, match="alpha"):
             threshold_table(_STANDARD_REF, 8.0, [2], 1.0)
         # size 1 needs no recursion, so the reference is not consulted
-        assert threshold_table(None, 8.0, [1], 0.05) == [float(ndtri(0.95))]
+        assert threshold_table(None, 8.0, [1], 0.05) == [
+            threshold_for_pfa_orthogonal(1, 0.05)]
         # sizes are checked in the given order and the first failure is
         # raised, whichever check it fails
         two_bump = two_bump_reference()

@@ -355,10 +355,10 @@ class TestPreprocess:
         assert masked_spectra(out.data).sum() == 1
 
     @pytest.mark.parametrize("kwargs, bound", [
-        ({"fsf": gaussian_fsf(5, 1.0)}, 2.5),
+        ({"fsf": gaussian_fsf(1.0)}, 2.5),
         ({}, 2.5),
         ({"use_variance": False}, 2.5),
-        ({"fsf": gaussian_fsf(5, 1.0), "baseline_window": 5}, 3.5),
+        ({"fsf": gaussian_fsf(1.0), "baseline_window": 5}, 3.5),
     ], ids=["variance-kernel", "variance", "plain", "baseline-kernel"])
     def test_peak_memory_in_cube_sizes(self, rng, kwargs, bound):
         # measured peaks: 2.13, 2.08, 2.00 and 3.09 cube sizes (the band-
@@ -450,7 +450,7 @@ class TestExactMedians:
         cube = Cube(data=blocks[0], variance=blocks[1])
         before = [b.tobytes() for b in blocks if b is not None]
         kernel = {None: None, "uniform": FsfKernel(np.ones((3, 3))),
-                  "gaussian": gaussian_fsf(5, 1.0)}[fsf]
+                  "gaussian": gaussian_fsf(1.0)}[fsf]
         with np.errstate(invalid="ignore"):     # inf/inf, inf - inf
             try:
                 expected = preprocess_where_fill(cube, use_variance, baseline,
@@ -484,14 +484,14 @@ class TestFsfKernel:
             FsfKernel(w)
 
     def test_gaussian_fsf(self):
-        k = gaussian_fsf(5, 1.2)
+        k = gaussian_fsf(1.2)
         assert k.weights.shape == (5, 5)
         assert k.weights[2, 2] == k.weights.max()
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
     def test_gaussian_sigma_must_be_positive_finite(self, sigma):
         with pytest.raises(DataError, match="sigma"):
-            gaussian_fsf(5, sigma)
+            gaussian_fsf(sigma)
 
 
 class TestRegions:

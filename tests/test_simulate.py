@@ -19,8 +19,7 @@ from shiftdetect.simulate import (GroundTruth, Metrics, NoiseSpec, SimConfig,
                                   fdr_snr_sweep, generate, glr_contrast,
                                   glr_field,
                                   glr_pvalues, score,
-                                  signal_energy_for_snr, uniform_kernel,
-                                  variance_preserving_kernel)
+                                  signal_energy_for_snr)
 from shiftdetect.teststat import compute_field
 
 from oracles import glr_statistic
@@ -73,15 +72,24 @@ class TestNoiseSpec:
 
 
 class TestKernels:
-    def test_variance_preserving_normalization(self):
-        k = variance_preserving_kernel(np.ones((3, 3)))
-        assert np.sum(k * k) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(k, 1.0 / 3.0)
+    def test_variance_preserving_normalization(self, line_dictionary):
+        # kernel_size=3 smooths with weights 1/3, whose squares sum to 1
+        from scipy import ndimage
+        plain, plain_truth = generate(base_config(line_dictionary, pi0=0.99))
+        cube, truth = generate(base_config(line_dictionary, pi0=0.99,
+                                           kernel_size=3))
+        want = ndimage.convolve(plain.data, np.full((3, 3, 1), 1.0 / 3.0),
+                                mode="reflect")
+        assert cube.data.tobytes() == want.tobytes()
+        assert np.array_equal(truth.h1_mask, ndimage.binary_dilation(
+            plain_truth.h1_mask, structure=np.ones((3, 3), bool)))
+        assert np.array_equal(truth.amplitudes, plain_truth.amplitudes)
 
-    def test_uniform_kernel(self):
-        assert uniform_kernel(3).shape == (3, 3)
-        with pytest.raises(DataError):
-            variance_preserving_kernel(np.zeros((3, 3)))
+    def test_uniform_kernel(self, line_dictionary):
+        for size in (0, -1):
+            with pytest.raises(DataError, match="uniform kernel size must "
+                                                f"be >= 1, got {size}"):
+                base_config(line_dictionary, kernel_size=size)
 
 
 class TestGenerate:
@@ -110,8 +118,7 @@ class TestGenerate:
             assert abs(band.mean()) < 4 * sigma / math.sqrt(band.size)
 
     def test_kernel_dilates_support(self, line_dictionary):
-        cfg = base_config(line_dictionary, spatial_kernel=uniform_kernel(3),
-                          pi0=0.99)
+        cfg = base_config(line_dictionary, kernel_size=3, pi0=0.99)
         _, truth = generate(cfg)
         injected = np.count_nonzero(truth.amplitudes)
         assert truth.n_h1 > injected
@@ -210,8 +217,8 @@ class TestGlr:
             glr_statistic(np.ones(30), line_dictionary, np.zeros(30))
 
     def test_calibration_pvalues_uniformish(self, line_dictionary, rng):
-        null = calibrate_glr_null(line_dictionary, 4000, seed=3)
-        fresh = calibrate_glr_null(line_dictionary, 2000, seed=4)
+        null = calibrate_glr_null(line_dictionary, seed=3)
+        fresh = calibrate_glr_null(line_dictionary, seed=4)
         p = glr_pvalues(fresh, null)
         # roughly uniform: mean near 1/2
         assert abs(p.mean() - 0.5) < 0.05
