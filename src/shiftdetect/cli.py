@@ -80,7 +80,7 @@ def _build_fsf(spec) -> FsfKernel:
         if size < 1:
             raise DataError(f"--fsf uniform:<k> needs k >= 1, got {size}")
         return FsfKernel(np.ones((size, size)))
-    if kind == "delta":
+    if spec == "delta":
         return FsfKernel(np.array([[1.0]]))
     raise DataError(f"unknown FSF spec {spec!r} "
                     "(use gaussian:<sigma>, uniform:<k>, delta)")
@@ -166,19 +166,19 @@ def cmd_detect(args) -> int:
 
 def cmd_simulate(args) -> int:
     conf = read_key_values(args.config)
+    conf.pop("mode", None)  # retired: `m` and `tau` fix the grid
 
     def get(key, default, kind):
-        return _number(conf.get(key, default), kind, f"{args.config}: {key}")
+        return _number(conf.pop(key, default), kind, f"{args.config}: {key}")
 
     l = get("l", 30, int)
     ref = gaussian_line_reference(l, get("ref_center", l // 2, int),
                                   get("ref_fwhm", 5.0, float),
                                   get("ref_trunc", 6.0, float))
     dictionary = build_lss(ref, get("m", 15, int), get("tau", 7.0, float))
-    family = conf.get("noise", "student")
-    noise = NoiseSpec(family=family, sigma=get("sigma", 1.0, float),
-                      nu=get("nu", 5.0, float))
-    kernel_spec = conf.get("kernel", "uniform3")
+    noise = NoiseSpec(family=conf.pop("noise", "student"),
+                      sigma=get("sigma", 1.0, float), nu=get("nu", 5.0, float))
+    kernel_spec = conf.pop("kernel", "uniform3")
     if kernel_spec == "none":
         kernel_size = None
     elif kernel_spec.startswith("uniform"):
@@ -186,18 +186,22 @@ def cmd_simulate(args) -> int:
                               f"{args.config}: kernel")
     else:
         raise DataError(f"unknown kernel spec {kernel_spec!r}")
-    kind = SimilarityKind.parse(conf.get("similarity", args.similarity))
-    snr_list = _parse_floats(conf.get("snr_list", "-24,-21,-18,-15"),
+    kind = SimilarityKind.parse(conf.pop("similarity", args.similarity))
+    snr_list = _parse_floats(conf.pop("snr_list", "-24,-21,-18,-15"),
                              f"{args.config}: snr_list")
-    q_list = _parse_floats(conf.get("q_list", "0.02,0.05,0.1,0.2"),
+    q_list = _parse_floats(conf.pop("q_list", "0.02,0.05,0.1,0.2"),
                            f"{args.config}: q_list")
+    test_shape = (get("ny", 51, int), get("nx", 51, int))
+    fit_shape = (get("fit_ny", 200, int), get("fit_nx", 200, int))
+    pi0 = get("pi0", 0.81, float)
+    if conf:
+        raise DataError(f"{args.config}: unknown key "
+                        + ", ".join(map(repr, conf)))
 
     records, aggregate = fdr_snr_sweep(
         dictionary, snr_list, q_list, runs=args.runs, seed=args.seed,
-        test_shape=(get("ny", 51, int), get("nx", 51, int)),
-        fit_shape=(get("fit_ny", 200, int), get("fit_nx", 200, int)),
-        noise=noise, pi0=get("pi0", 0.81, float), kernel_size=kernel_size,
-        kind=kind, threads=args.threads)
+        test_shape=test_shape, fit_shape=fit_shape, noise=noise, pi0=pi0,
+        kernel_size=kernel_size, kind=kind, threads=args.threads)
 
     os.makedirs(args.out, exist_ok=True)
     runs_path = os.path.join(args.out, "runs.csv")
@@ -215,9 +219,6 @@ def cmd_pfa_bound(args) -> int:
     if not 0 <= args.amplitude < np.inf:
         raise DataError(f"--amplitude must be finite and >= 0, "
                         f"got {args.amplitude}")
-    # the m = 1 row builds with tau = 0, so build_lss may never see --tau
-    if not 0 <= args.tau < np.inf:
-        raise DataError(f"--tau must be finite and >= 0, got {args.tau}")
     values = read_numbers(args.reference).ravel()
     center = args.center_band
     reference = ReferenceAtom(
@@ -228,19 +229,8 @@ def cmd_pfa_bound(args) -> int:
         raise DataError("--m-range expects 'lo..hi'") from None
     if m_lo < 1 or m_hi < m_lo:
         raise DataError("bad --m-range")
-    # build each dictionary for its input checks; rows are defined in m
-    # order, so a bound failure at a smaller m is reported first
-    ms, build_error = [], None
-    for m in range(m_lo, m_hi + 1):
-        try:
-            build_lss(reference, m, args.tau if m > 1 else 0.0)
-        except DataError as exc:
-            build_error = exc
-            break
-        ms.append(m)
+    ms = range(m_lo, m_hi + 1)
     etas = threshold_table(reference, args.tau, ms, args.alpha)
-    if build_error is not None:
-        raise build_error
     rows = [(m, eta, threshold_for_pfa_orthogonal(m, args.alpha),
              expected_max_gain(reference, m, args.tau, args.amplitude)
              if m >= 2 else args.amplitude)

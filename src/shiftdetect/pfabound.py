@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .dictionary import Dictionary, autocorrelation
+from .dictionary import Dictionary, autocorrelation, build_lss
 from .errors import DataError, NumericError
 
 _TWOPI = 2.0 * math.pi
@@ -294,10 +294,6 @@ class _BoundRecursion:
     """
 
     def __init__(self, reference, tau: float, m_max: int):
-        if reference is None:
-            raise DataError("pfa_bound needs a dictionary built from a "
-                            "reference (load_csv drops it); rebuild with "
-                            "build_lss")
         grid = np.linspace(0.0, 2.0 * tau, 201)
         vals = np.array([autocorrelation(reference, u) for u in grid])
         if np.any(vals < -1e-9):
@@ -364,6 +360,14 @@ class _BoundRecursion:
                                                                 axis=1)))
 
 
+def _reference(dictionary: Dictionary):
+    if dictionary.m > 1 and dictionary.reference is None:
+        raise DataError("pfa_bound needs a dictionary built from a "
+                        "reference (load_csv drops it); rebuild with "
+                        "build_lss")
+    return dictionary.reference
+
+
 def pfa_bound(dictionary: Dictionary, eta: float) -> float:
     """Upper bound on the max-test false-alarm probability at threshold eta.
 
@@ -382,7 +386,7 @@ def pfa_bound(dictionary: Dictionary, eta: float) -> float:
     m = dictionary.m
     if m == 1:
         return pfa_exact_orthogonal(1, eta)
-    recursion = _BoundRecursion(dictionary.reference, dictionary.tau, m)
+    recursion = _BoundRecursion(_reference(dictionary), dictionary.tau, m)
     recursion.check(m)
     return float(recursion.pfa([float(eta)], [m])[0, -1])
 
@@ -390,30 +394,33 @@ def pfa_bound(dictionary: Dictionary, eta: float) -> float:
 def threshold_table(reference, tau: float, ms, alpha: float) -> list:
     """Bound thresholds for the LSS dictionaries of sizes `ms` over
     [-tau, tau]: for each m the smallest threshold whose false-alarm bound
-    is at most alpha, found by bisection to within 1e-8.
+    is at most alpha, found by bisection to within 1e-8 (m = 1 rows are
+    orthogonal and need no reference).
 
-    Every m is checked first, in the given order, and the first failure is
-    raised: its grid sizes' correlations, the monotonicity of M_m on a
+    tau and alpha are checked first, then every m >= 2 in the given order,
+    raising the first failure: its dictionary builds (`build_lss`'s strict
+    default), its grid sizes' correlations, the monotonicity of M_m on a
     shared 29-point grid of thresholds, and the bracket [lo, hi], widened
     in steps of 8 where needed.  Then all sizes bisect in lockstep, one
     recursion evaluation per round for the unfinished ones.  Only the
     comparisons M_m(mid) < 1 - alpha steer a bisection, and each value is
-    computed as on its own, so the thresholds equal `threshold_for_pfa`'s
-    bit for bit.
+    computed as on its own: the thresholds are `threshold_for_pfa`'s, bit
+    for bit.
     """
+    if not 0 <= tau < math.inf:
+        raise DataError(f"tau must be finite and >= 0, got {tau}")
     if not (0.0 < alpha < 1.0):
         raise DataError("alpha must lie in (0, 1)")
     ms = list(ms)
     target = 1.0 - alpha
     recursion = None
-    out = []
     bound_ms, los, his = [], [], []
     for m in ms:
         if m < 1:
             raise DataError("m must be >= 1")
         if m == 1:
-            out.append(threshold_for_pfa_orthogonal(1, alpha))
             continue
+        build_lss(reference, m, tau)
         if recursion is None:
             recursion = _BoundRecursion(reference, tau, max(ms))
             on_grid = 1.0 - recursion.pfa(
@@ -436,7 +443,6 @@ def threshold_table(reference, tau: float, ms, alpha: float) -> list:
             if hi > 80.0:
                 raise NumericError("bracketing failure (high side)")
             value = 1.0 - recursion.pfa([hi], [m])[0, -1]
-        out.append(None)
         bound_ms.append(m)
         los.append(lo)
         his.append(hi)
@@ -450,15 +456,17 @@ def threshold_table(reference, tau: float, ms, alpha: float) -> list:
         hi[active[~below]] = mid[~below]
         active = active[hi[active] - lo[active] > _ETA_TOL]
     etas = iter(0.5 * (lo + hi))
-    return [float(next(etas)) if eta is None else eta for eta in out]
+    return [threshold_for_pfa_orthogonal(1, alpha) if m == 1
+            else float(next(etas)) for m in ms]
 
 
 def threshold_for_pfa(dictionary: Dictionary, alpha: float) -> float:
     """Smallest threshold whose false-alarm bound is at most alpha:
     solves M_m(eta) = 1 - alpha by bisection to within 1e-8.
 
-    Monotonicity of M_m in the threshold is asserted numerically on a
-    coarse grid before inverting.
+    The dictionary is rebuilt from its reference with `build_lss`'s strict
+    default, and monotonicity of M_m in the threshold is asserted
+    numerically on a coarse grid before inverting.
     """
-    return threshold_table(dictionary.reference, dictionary.tau,
+    return threshold_table(_reference(dictionary), dictionary.tau,
                            [dictionary.m], alpha)[0]

@@ -302,30 +302,19 @@ def _derived_seed(*key) -> np.random.SeedSequence:
 
 
 def _sweep_replicate(task):
-    """One (snr, replicate) cell of the FDR sweep; module-level so worker
-    processes can pickle it."""
-    (dictionary, noise, pi0, kernel_size, kind, seed, snr_idx, snr_db, rep,
-     fit_shape, test_shape, q_list) = task
-    # the SNR axis normalizes by each cube's own pixel count, so passing
-    # the same value gives fit and test cubes the same per-pixel
-    # amplitude law
-    fit_cfg = SimConfig(
-        n_y=fit_shape[0], n_x=fit_shape[1], noise=noise, dictionary=dictionary,
-        pi0=pi0, seed=_derived_seed(seed, snr_idx, rep, 0),
-        kernel_size=kernel_size, signal_atom=dictionary.m // 2,
-        target_snr=snr_db)
-    test_cfg = replace(fit_cfg, n_y=test_shape[0], n_x=test_shape[1],
-                       seed=_derived_seed(seed, snr_idx, rep, 1))
+    """One (snr, replicate) cell of the FDR sweep from its fit and test
+    configs; module-level so worker processes can pickle it."""
+    fit_cfg, test_cfg, kind, rep, q_list = task
     fit_cube, _ = generate(fit_cfg)
     test_cube, truth = generate(test_cfg)
-    model = fit_null(compute_field(fit_cube, dictionary, kind))
-    test_field = compute_field(test_cube, dictionary, kind)
+    model = fit_null(compute_field(fit_cube, fit_cfg.dictionary, kind))
+    test_field = compute_field(test_cube, test_cfg.dictionary, kind)
     # one decision per field; every level reads from it
     result = detect(model, test_field)
     out = []
     for q in q_list:
         m = score(test_field.to_map(result.detected_at(q)), truth)
-        out.append({"snr": snr_db, "q": q, "rep": rep,
+        out.append({"snr": fit_cfg.target_snr, "q": q, "rep": rep,
                     "fdp": m.fdp, "power": m.power,
                     "detections": m.true_detections + m.false_detections,
                     "pi0_hat": model.pi0_hat})
@@ -349,8 +338,9 @@ def fdr_snr_sweep(dictionary: Dictionary, snr_list, q_list, runs: int,
     same contaminated process, then applied to the test cube; all nominal
     levels share each replicate.  Replicates draw their seeds from (seed,
     snr-index, replicate) so results are identical whether run serially or
-    on a worker pool.  Returns (records, aggregate): per-run dicts and mean
-    FDR / power keyed by (snr, q).
+    on a worker pool; all their configs are checked before the first cube
+    is drawn.  Returns (records, aggregate): per-run dicts and mean FDR /
+    power keyed by (snr, q).
     """
     if runs < 1:
         raise DataError(f"runs must be >= 1, got {runs}")
@@ -358,10 +348,20 @@ def fdr_snr_sweep(dictionary: Dictionary, snr_list, q_list, runs: int,
         raise DataError("snr_list and q_list must be non-empty")
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
-    tasks = [(dictionary, noise, pi0, kernel_size, kind, seed, snr_idx,
-              snr_db, rep, fit_shape, test_shape, tuple(q_list))
-             for snr_idx, snr_db in enumerate(snr_list)
-             for rep in range(runs)]
+    tasks = []
+    for snr_idx, snr_db in enumerate(snr_list):
+        for rep in range(runs):
+            # the SNR axis normalizes by each cube's own pixel count, so
+            # fit and test cubes get the same per-pixel amplitude law
+            fit_cfg = SimConfig(
+                n_y=fit_shape[0], n_x=fit_shape[1], noise=noise,
+                dictionary=dictionary, pi0=pi0,
+                seed=_derived_seed(seed, snr_idx, rep, 0),
+                kernel_size=kernel_size, signal_atom=dictionary.m // 2,
+                target_snr=snr_db)
+            test_cfg = replace(fit_cfg, n_y=test_shape[0], n_x=test_shape[1],
+                               seed=_derived_seed(seed, snr_idx, rep, 1))
+            tasks.append((fit_cfg, test_cfg, kind, rep, tuple(q_list)))
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         # forked workers inherit the parent's modules: imported once here,

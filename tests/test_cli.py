@@ -385,6 +385,37 @@ class TestMalformedNumbers:
         pytest.param(["--threads", "-1", "simulate", "--config", "{conf}",
                       "--out", "{out}", "--runs", "1"], "",
                      id="simulate-threads-negative"),
+        # a misspelt key would leave its default in force
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}",
+                      "--runs", "1"],
+                     "ny=8\nnx=8\nfit_ny=30\nfit_nx=30\nsnr_list=-10\n"
+                     "q_list=0.1\nkernal=none\n", id="simulate-unknown-key"),
+        pytest.param(["preprocess", "--cube", "{cube}", "--out", "{out}",
+                      "--fsf", "delta:5"], None, id="preprocess-fsf-delta-5"),
+        pytest.param(["detect", "--cube", "{cube}", "--center", "1,2",
+                      "--out", "{out}"], None, id="detect-center-two-parts"),
+        pytest.param(["preprocess", "--cube", "{cube}", "--out", "{out}",
+                      "--fsf", "foo"], None, id="preprocess-fsf-foo"),
+        pytest.param(["preprocess", "--cube", "{cube}", "--out", "{out}",
+                      "--baseline-window", "4"], None,
+                     id="preprocess-baseline-window-even"),
+        pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "2",
+                      "--m-range", "2-3"], None, id="pfa-bound-m-range-dash"),
+        pytest.param(["pfa-bound", "--reference", "{conf}", "--tau", "2",
+                      "--m-range", "2..3"], "1,nan,2\n",
+                     id="pfa-bound-reference-nan"),
+        pytest.param(["pfa-bound", "--reference", "{conf}", "--tau", "2",
+                      "--m-range", "2..3"], "0,0,0\n",
+                     id="pfa-bound-reference-zero"),
+        pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "2",
+                      "--m-range", "2..3", "--center-band", "99"], None,
+                     id="pfa-bound-center-band-outside"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}",
+                      "--runs", "1"], "kernel=gauss\n",
+                     id="simulate-kernel-gauss"),
+        pytest.param(["ingest", "--input", "{csvdir}", "--output", "{out}"],
+                     small_csvdir(**{"meta.txt": "n_y=abc\nn_x=2\nl=3\n"}),
+                     id="ingest-csvdir-n-y-abc"),
     ])
     def test_exits_2(self, workdir, tmp_path, capsys, argv, config):
         """`config` is the text or bytes of a config (or reference or
@@ -528,6 +559,31 @@ class TestSimulateCommand:
                    "--runs", "1", "--out", tmp_path / "sweep") == 2
         assert (f"uniform kernel size must be >= 1, got {size}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_late_bad_snr_draws_no_cube(self, tmp_path, monkeypatch, capsys,
+                                        threads):
+        import concurrent.futures
+        started = []
+
+        def count(config):
+            started.append("cube")
+            return generate(config)
+
+        def no_pool(*args, **kwargs):
+            started.append("pool")
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(simulate, "generate", count)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        conf = tmp_path / "sim.conf"
+        conf.write_text("ny=8\nnx=8\nfit_ny=30\nfit_nx=30\n"
+                        "snr_list=-10,-5,nan\nq_list=0.1\n")
+        assert run("--threads", threads, "simulate", "--config", conf,
+                   "--runs", "1", "--out", tmp_path / "sweep") == 2
+        assert "target_snr must be finite" in capsys.readouterr().err
+        assert started == []
 
     def test_bad_config_exits_2(self, workdir):
         conf = workdir / "bad.conf"

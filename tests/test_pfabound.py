@@ -325,8 +325,10 @@ class TestPfaBound:
         path = tmp_path / "d.csv"
         line_dictionary.save_csv(path)
         loaded = Dictionary.load_csv(path)
-        with pytest.raises(DataError, match="reference"):
+        with pytest.raises(DataError, match="reference.*build_lss"):
             pfa_bound(loaded, 2.0)
+        with pytest.raises(DataError, match="reference.*build_lss"):
+            threshold_for_pfa(loaded, 0.05)
 
     def test_rejects_nonmonotone_autocorrelation(self):
         d = build_lss(two_bump_reference(), 3, 10.0)
@@ -458,12 +460,28 @@ class TestSharedRecursion:
         assert table == [direct_threshold(_STANDARD_REF, m, tau, alpha)
                          for m in (2, 5)]
 
+    def test_table_bisects_unequal_brackets_like_per_m(self):
+        # m = 2's threshold lies on the grid [-6, 8] and m = 5's above it:
+        # m = 5's bracket is widened to 16, so it bisects one round longer
+        table = threshold_table(_STANDARD_REF, 8.0, [2, 5], 3e-15)
+        assert table[0] < 8.0 < table[1]
+        assert table == [direct_threshold(_STANDARD_REF, m, 8.0, 3e-15)
+                         for m in (2, 5)]
+
     def test_table_validates_like_per_m(self):
         with pytest.raises(DataError, match="alpha"):
             threshold_table(_STANDARD_REF, 8.0, [2], 1.0)
         # size 1 needs no recursion, so the reference is not consulted
         assert threshold_table(None, 8.0, [1], 0.05) == [
             threshold_for_pfa_orthogonal(1, 0.05)]
+        # but tau is checked whatever the sizes
+        for tau in (math.nan, -3.0, math.inf):
+            with pytest.raises(DataError, match="tau must be"):
+                threshold_table(None, tau, [1], 0.05)
+        # every size's dictionary must build: at tau 100 the outer atoms
+        # of a 30-band reference leave the support
+        with pytest.raises(DataError, match="atom vanished"):
+            threshold_table(_STANDARD_REF, 100.0, [2, 3, 4], 0.05)
         # sizes are checked in the given order and the first failure is
         # raised, whichever check it fails
         two_bump = two_bump_reference()
