@@ -176,8 +176,12 @@ def cmd_simulate(args) -> int:
                                   get("ref_fwhm", 5.0, float),
                                   get("ref_trunc", 6.0, float))
     dictionary = build_lss(ref, get("m", 15, int), get("tau", 7.0, float))
-    noise = NoiseSpec(family=conf.pop("noise", "student"),
-                      sigma=get("sigma", 1.0, float), nu=get("nu", 5.0, float))
+    # each family reads only its own scale key; the other one is unknown
+    family = conf.pop("noise", "student")
+    if family == "gaussian":
+        noise = NoiseSpec(family, sigma=get("sigma", 1.0, float))
+    else:
+        noise = NoiseSpec(family, nu=get("nu", 5.0, float))
     kernel_spec = conf.pop("kernel", "uniform3")
     if kernel_spec == "none":
         kernel_size = None
@@ -219,7 +223,11 @@ def cmd_pfa_bound(args) -> int:
     if not 0 <= args.amplitude < np.inf:
         raise DataError(f"--amplitude must be finite and >= 0, "
                         f"got {args.amplitude}")
-    values = read_numbers(args.reference).ravel()
+    values = read_numbers(args.reference)
+    if min(values.shape) != 1:
+        raise DataError(f"{args.reference}: a reference is one row or one "
+                        f"column, got {values.shape[0]}x{values.shape[1]}")
+    values = values.ravel()
     center = args.center_band
     reference = ReferenceAtom(
         values, int(np.argmax(values)) if center is None else center)

@@ -13,15 +13,17 @@ autocorrelation in the shift, once per (reference, tau) and each grid
 size's correlations once, and bisects every size in lockstep: one
 recursion evaluation per round serves all unfinished sizes.
 
-The bivariate CDF follows the classic Drezner / Genz single-integral
-scheme (including the transformed high-correlation branch); the trivariate
-CDF integrates Plackett's correlation-derivative identity along a linear
-correlation path with Gauss-Legendre quadrature.  Both kernels work on
-arrays, element by element; `normal_cdf_2d` and `normal_cdf_3d` are their
-validated scalar forms (a NaN limit or correlation raises DataError).
+The bivariate CDF is Owen's closed form in his T function, accurate to
+about 1e-16 in absolute terms: the recursion multiplies a small orthant
+probability, which keeps few relative digits, into M ~ 0.  The
+trivariate CDF integrates Plackett's correlation-derivative identity along
+a linear correlation path with Gauss-Legendre quadrature.  Both kernels
+work on arrays, element by element; `normal_cdf_2d` and `normal_cdf_3d`
+are their validated scalar forms (a NaN limit or correlation raises
+DataError).
 
 Importing scipy.special takes longer than a CLI run that never uses it, so
-the functions import it where they need it, and the quadrature rules are
+the functions import it where they need it, and the quadrature rule is
 built on first use and kept for the rest of the process.
 """
 
@@ -35,7 +37,6 @@ import numpy as np
 from .dictionary import Dictionary, autocorrelation, build_lss
 from .errors import DataError, NumericError
 
-_TWOPI = 2.0 * math.pi
 # Bisection width of every bound threshold.
 _ETA_TOL = 1e-8
 # Thresholds on which M_m is checked to be monotone before it is inverted;
@@ -49,27 +50,27 @@ _KERNEL_ROWS = 180
 
 @functools.cache
 def _rules() -> tuple:
-    """Nodes and weights of the 20-point Gauss-Legendre rule of the
-    bivariate integrand, then those of the 96-point rule of the trivariate
-    correlation-path integral mapped to [0, 1]."""
+    """Nodes and weights of the 96-point Gauss-Legendre rule of the
+    trivariate correlation-path integral, mapped to [0, 1]."""
     from scipy.special import roots_legendre
-    gl20_x, gl20_w = roots_legendre(20)
     path_x, path_w = roots_legendre(96)
-    return gl20_x, gl20_w, 0.5 * (path_x + 1.0), 0.5 * path_w
+    return 0.5 * (path_x + 1.0), 0.5 * path_w
 
 
 def _bvnu(dh, dk, r) -> np.ndarray:
-    """Upper bivariate normal probabilities P(X > dh, Y > dk) for standard
-    margins with correlation r, elementwise over broadcast arrays.
+    """Upper bivariate normal probabilities P(X > dh, Y > dk), correlation
+    r, elementwise over broadcast arrays: a bulk call returns the bits of
+    one call per element.
 
-    Port of the Drezner-Wesolowsky / Genz algorithm: a Gauss-Legendre
-    evaluation of the arcsine-parametrized integral for |r| < 0.925 and the
-    transformed complementary expansion above that.  Each element takes
-    the branch its own (dh, dk, r) selects, so a bulk call returns the
-    same bits as one call per element.
+    Owen's identity (1956), with h = -dh, k = -dk, s = sqrt(1 - r^2) and
+    beta = 1/2 when h and k lie on opposite sides of 0 (one of them 0 and
+    h + k < 0 included): P(X <= h, Y <= k) = (Phi(h) + Phi(k))/2 - beta
+    - T(h, (k/h - r)/s) - T(k, (h/k - r)/s), with k/h = 1 at h = k = 0.
+    Exact for an infinite limit, r = 0 and |r| = 1; elsewhere the error is
+    about 1e-16 in absolute terms, so P(X <= -6, Y <= -6; 0.03) = 2.9e-18
+    keeps only six digits.
     """
-    from scipy.special import ndtr
-    gl20_x, gl20_w = _rules()[:2]
+    from scipy.special import ndtr, owens_t
     dh, dk, r = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                       for v in (dh, dk, r)))
     shape = dh.shape
@@ -83,51 +84,22 @@ def _bvnu(dh, dk, r) -> np.ndarray:
     anti = ~indep & (r <= -1.0)
     out[anti] = np.maximum(0.0, ndtr(-dh[anti]) - ndtr(dk[anti]))
 
-    low = ~(indep | one | anti) & (np.abs(r) < 0.925)
-    h, k, rl = dh[low, None], dk[low, None], r[low, None]
-    hk = h * k
-    hs = 0.5 * (h * h + k * k)
-    asr = np.arcsin(rl)
-    sn = np.sin(0.5 * asr * (1.0 + gl20_x))
-    bvn = np.sum(gl20_w * np.exp((sn * hk - hs) / (1.0 - sn * sn)), axis=1)
-    out[low] = np.clip(bvn * asr[:, 0] / (2.0 * _TWOPI)
-                       + ndtr(-dh[low]) * ndtr(-dk[low]), 0.0, 1.0)
-
-    high = ~(indep | one | anti | low)
-    h, rh = dh[high, None], r[high, None]
-    k = np.where(rh < 0.0, -dk[high, None], dk[high, None])
-    hk = h * k
-    a_sq = (1.0 - rh) * (1.0 + rh)
-    a = np.sqrt(a_sq)
-    bs = (h - k) ** 2
-    c = (4.0 - hk) / 8.0
-    d = (12.0 - hk) / 16.0
-    asr = -0.5 * (bs / a_sq + hk)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bvn = np.where(asr > -100.0,
-                       a * np.exp(asr) * (1.0 - c * (bs - a_sq)
-                                          * (1.0 - d * bs / 5.0) / 3.0
-                                          + c * d * a_sq * a_sq / 5.0), 0.0)
-        b = np.sqrt(bs)
-        sp = math.sqrt(_TWOPI) * ndtr(-b / a)
-        bvn -= np.where(-hk < 100.0,
-                        np.exp(-0.5 * hk) * sp * b
-                        * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0), 0.0)
-    half_a = 0.5 * a
-    # the symmetric node set covers both mirror points (1 - x) and (1 + x)
-    xs = (half_a * (gl20_x + 1.0)) ** 2
-    rs = np.sqrt(1.0 - xs)
-    asr_v = -0.5 * (bs / xs + hk)
-    keep = asr_v > -100.0
-    sp_v = 1.0 + c * xs * (1.0 + d * xs)
-    ep_v = np.exp(-0.5 * hk * (1.0 - rs) / (1.0 + rs)) / rs
-    bvn += half_a * np.sum(
-        np.where(keep, gl20_w * np.exp(asr_v) * (ep_v - sp_v), 0.0),
-        axis=1, keepdims=True)
-    bvn = -bvn / _TWOPI
-    bvn = np.where(rh > 0.0, bvn + ndtr(-np.maximum(h, k)),
-                   -bvn + np.maximum(0.0, ndtr(-h) - ndtr(-k)))
-    out[high] = np.clip(bvn[:, 0], 0.0, 1.0)
+    rest = ~(indep | one | anti)
+    # + 0.0 turns -0.0 into 0.0: a zero limit has one slope sign
+    h, k, r = -dh[rest] + 0.0, -dk[rest] + 0.0, r[rest]
+    s = np.sqrt((1.0 - r) * (1.0 + r))
+    # beta from the signs: the product h k can underflow to 0
+    cdf = 0.5 * (ndtr(h) + ndtr(k)) - 0.5 * ((h < 0.0) != (k < 0.0))
+    # k/h - r as (k - h)/h + (1 - r), or (k + h)/h - (1 + r) for r < 0:
+    # k -+ h is exact for close limits, whose slope error 1/s magnifies.
+    # A denormal h overflows it; 0/0 at h = k = 0 takes the limit 1 - r
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for x, y in ((h, k), (k, h)):
+            num = np.where(r > 0.0, (y - x) / x + (1.0 - r),
+                           (y + x) / x - (1.0 + r))
+            num = np.where(np.isnan(num), 1.0 - r, num)
+            cdf -= owens_t(x, num / s)
+    out[rest] = np.clip(cdf, 0.0, 1.0)
     return out.reshape(shape)
 
 
@@ -148,7 +120,7 @@ def _path_integral(b_i, b_j, b_k, rho_ij_target, rho_ki, rho_kj):
     The integrand is evaluated a quarter of the nodes at a time, which
     keeps the temporaries small."""
     from scipy.special import ndtr
-    path_nodes, path_weights = _rules()[2:]
+    path_nodes, path_weights = _rules()
     term = np.empty((len(b_i), path_nodes.size))
     quarter = path_nodes.size // 4
     for lo in range(0, path_nodes.size, quarter):
@@ -168,7 +140,7 @@ def _path_integral(b_i, b_j, b_k, rho_ij_target, rho_ki, rho_kj):
                          np.where(b_k >= mu, np.inf, -np.inf))
         # the bivariate normal density at (b_i, b_j), correlation rho_ij
         q = (b_i * b_i - 2.0 * rho_ij * b_i * b_j + b_j * b_j) / det
-        phi2 = np.exp(-0.5 * q) / (_TWOPI * np.sqrt(det))
+        phi2 = np.exp(-0.5 * q) / (2.0 * math.pi * np.sqrt(det))
         term[:, nodes] = rho_ij_target * phi2 * ndtr(z)
     term *= path_weights
     return np.sum(term, axis=1)
@@ -361,10 +333,21 @@ class _BoundRecursion:
 
 
 def _reference(dictionary: Dictionary):
-    if dictionary.m > 1 and dictionary.reference is None:
+    """The reference of m >= 2 atoms that are `build_lss(reference, m,
+    tau)` bit for bit: the bound reads only those three, not the atoms.
+    The rebuild skips the non-negativity rule, so any gram_tol passes."""
+    if dictionary.m == 1:
+        return dictionary.reference
+    if dictionary.reference is None:
         raise DataError("pfa_bound needs a dictionary built from a "
                         "reference (load_csv drops it); rebuild with "
                         "build_lss")
+    rebuilt = build_lss(dictionary.reference, dictionary.m, dictionary.tau,
+                        gram_tol=math.inf)
+    if (rebuilt.shifts.tobytes() != dictionary.shifts.tobytes()
+            or rebuilt.atoms.tobytes() != dictionary.atoms.tobytes()):
+        raise DataError("pfa_bound needs the atoms and shifts of "
+                        "build_lss(reference, m, tau); these differ")
     return dictionary.reference
 
 
@@ -379,7 +362,8 @@ def pfa_bound(dictionary: Dictionary, eta: float) -> float:
     Gamma(delta), Gamma(delta), Gamma(2 delta)); returns 1 - M_m(eta).
     The size-3 term is then the exact trivariate orthant probability.
 
-    Requires a dictionary whose autocorrelation is non-negative and
+    Requires a dictionary that is `build_lss(reference, m, tau)` bit for
+    bit (DataError otherwise), whose autocorrelation is non-negative and
     non-increasing; collapses to the orthogonal closed form when all the
     involved correlations vanish.
     """
@@ -464,9 +448,10 @@ def threshold_for_pfa(dictionary: Dictionary, alpha: float) -> float:
     """Smallest threshold whose false-alarm bound is at most alpha:
     solves M_m(eta) = 1 - alpha by bisection to within 1e-8.
 
-    The dictionary is rebuilt from its reference with `build_lss`'s strict
-    default, and monotonicity of M_m in the threshold is asserted
-    numerically on a coarse grid before inverting.
+    The dictionary must be `build_lss(reference, m, tau)` bit for bit, and
+    `threshold_table` builds it once more with the strict default, whose
+    non-negativity rule the identity check skips; monotonicity of M_m in
+    the threshold is asserted numerically on a coarse grid before inverting.
     """
     return threshold_table(_reference(dictionary), dictionary.tau,
                            [dictionary.m], alpha)[0]

@@ -2,7 +2,9 @@
 checked against: `similarity` for `similarity.score_matrix`,
 `glr_statistic` for `simulate.glr_field`, and `bvnu` and `tvn` for the
 array kernels of `pfabound`.  They work on one input at a time, written
-straight from the definitions or the published algorithms.
+straight from the definitions or the published algorithms.  `bvnu` is the
+Drezner-Wesolowsky / Genz quadrature, a method independent of the
+library's Owen T-function form.
 
 `fit_null_sorted`, `piecewise_linear_shift` and the `csv.writer` writers
 are the earlier, plainer forms of `nullmodel.fit_null`, of the fractional
@@ -22,7 +24,7 @@ import struct
 import warnings
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, roots_legendre
 
 from shiftdetect.errors import DataError
 from shiftdetect.nullmodel import NullModel
@@ -32,7 +34,8 @@ from shiftdetect.similarity import SimilarityKind, score_matrix
 from shiftdetect.teststat import TestField, masked_spectra
 
 _TWOPI = 2.0 * math.pi
-_GL20_X, _GL20_W, _PATH_T, _PATH_W = _rules()
+_GL20_X, _GL20_W = roots_legendre(20)
+_PATH_T, _PATH_W = _rules()
 
 
 def similarity(kind: SimilarityKind, y, d) -> float:

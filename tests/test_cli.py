@@ -407,6 +407,17 @@ class TestMalformedNumbers:
         pytest.param(["pfa-bound", "--reference", "{conf}", "--tau", "2",
                       "--m-range", "2..3"], "0,0,0\n",
                      id="pfa-bound-reference-zero"),
+        # two rows would otherwise run as one reference of twice the bands
+        pytest.param(["pfa-bound", "--reference", "{conf}", "--tau", "2",
+                      "--m-range", "2..3"], "0,1,3,1,0\n0,1,3,1,0\n",
+                     id="pfa-bound-reference-two-rows"),
+        # a scale key the noise family does not use would be ignored
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}",
+                      "--runs", "1"], "noise=student\nsigma=3\n",
+                     id="simulate-student-sigma"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}",
+                      "--runs", "1"], "noise=gaussian\nnu=3\n",
+                     id="simulate-gaussian-nu"),
         pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "2",
                       "--m-range", "2..3", "--center-band", "99"], None,
                      id="pfa-bound-center-band-outside"),

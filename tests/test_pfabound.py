@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr, ndtri, roots_legendre
 
 from shiftdetect import pfabound
 from shiftdetect.cli import main
-from shiftdetect.dictionary import (ReferenceAtom, autocorrelation,
-                                    build_lss, gaussian_line_reference)
+from shiftdetect.dictionary import (Dictionary, ReferenceAtom,
+                                    autocorrelation, build_lss,
+                                    gaussian_line_reference)
 from shiftdetect.errors import DataError, NumericError
 from shiftdetect.pfabound import (_BoundRecursion, _bvnu, _tvn,
                                   normal_cdf_2d, normal_cdf_3d, pfa_bound,
@@ -160,7 +161,7 @@ _LIMITS = st.one_of(st.floats(-8.0, 8.0),
                     st.sampled_from([math.inf, -math.inf]))
 _CORRS = st.one_of(st.floats(-1.0, 1.0),
                    st.sampled_from([0.0, 1.0, -1.0, 0.925, -0.925, 0.99999,
-                                    -0.99999, 1.0 - 1e-15]))
+                                    -0.99999, 1.0 - 1e-15, -1.0 + 1e-15]))
 
 
 @st.composite
@@ -189,18 +190,26 @@ def correlation_triples(draw):
 
 
 class TestArrayKernels:
-    """The array kernels against the scalar oracles, branch by branch:
-    infinite limits, r = 0, |r| = 1, negative r, |r| >= 0.925 and singular
-    trivariate pairs."""
+    """The array kernels against the scalar oracles, case by case:
+    infinite limits, r = 0, |r| = 1, r within 1e-15 of +-1, zero and
+    denormal limits, and singular trivariate pairs."""
 
     @settings(max_examples=300, deadline=None)
     @given(dh=_LIMITS, dk=_LIMITS, r=_CORRS)
+    # near |r| = 1 the slope numerator must come from the exact difference
+    # of close limits, not from (k - r h)/h or k/h - r, and the sign term
+    # must not come from an underflowing product h k
+    @example(dh=3.0, dk=3.0, r=1.0 - 1e-15)
+    @example(dh=3.0, dk=3.0000000000000004, r=1.0 - 1e-15)
+    @example(dh=-3.0, dk=3.0000000000000004, r=-1.0 + 1e-15)
+    @example(dh=1.422988712199838e-192, dk=1.422988712199838e-192, r=0.5)
     def test_bivariate_matches_oracle(self, dh, dk, r):
         assert abs(float(_bvnu(dh, dk, r)) - bvnu(dh, dk, r)) <= 1e-14
 
     @settings(max_examples=300, deadline=None)
     @given(b=st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3),
            rho=correlation_triples())
+    @example(b=[0.0, 0.0, 2.2250738585e-313], rho=(0.0, 0.5, 0.0))
     def test_trivariate_matches_oracle(self, b, rho):
         got = float(_tvn(b, rho)[0])
         assert abs(got - tvn(*b, *rho)) <= 1e-14
@@ -227,6 +236,9 @@ class TestArrayKernels:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(_LIMITS, _LIMITS, _CORRS), min_size=1,
                     max_size=40))
+    @example([(0.0, 0.0, 0.0), (5e-324, 1.0, 0.5),
+              (3.0, 3.0000000000000004, 1.0 - 1e-15),
+              (-3.0, 3.0000000000000004, -1.0 + 1e-15)])
     def test_bivariate_bulk_equals_single_calls(self, rows):
         dh, dk, r = np.array(rows).T
         single = np.array([_bvnu(*row) for row in rows])
@@ -330,6 +342,34 @@ class TestPfaBound:
         with pytest.raises(DataError, match="reference.*build_lss"):
             threshold_for_pfa(loaded, 0.05)
 
+    def test_bounds_the_atoms_it_is_given(self):
+        # the bound is computed from (reference, m, tau) alone, so atoms or
+        # a tau that build_lss would not give are rejected, not bounded
+        d = build_lss(gaussian_line_reference(30, 15, 5.0), 15, 7.0)
+        other = build_lss(gaussian_line_reference(30, 15, 4.0), 15, 7.0)
+        for wrong in (Dictionary(d.atoms, d.shifts, 3.0, d.reference),
+                      Dictionary(other.atoms, d.shifts, 7.0, d.reference)):
+            with pytest.raises(DataError, match="atoms and shifts"):
+                pfa_bound(wrong, 2.5)
+            with pytest.raises(DataError, match="atoms and shifts"):
+                threshold_for_pfa(wrong, 0.05)
+        same = Dictionary(d.atoms.copy(), d.shifts.copy(), 7.0, d.reference)
+        assert pfa_bound(same, 2.5) == pfa_bound(d, 2.5)
+
+    def test_bounds_a_relaxed_gram_tol_dictionary(self):
+        # a reference estimated from data can dip below 0, and a dictionary
+        # built from it with a gram_tol slack is bounded as it stands;
+        # threshold_for_pfa keeps build_lss's strict default
+        values = gaussian_line_reference(30, 15, 5.0).values.copy()
+        values[0] = -1e-10
+        ref = ReferenceAtom(values, center_band=15)
+        with pytest.raises(DataError, match="non-negativity"):
+            build_lss(ref, 15, 7.0)
+        d = build_lss(ref, 15, 7.0, gram_tol=1e-6)
+        assert pfa_bound(d, 2.5) == direct_pfa_bound(ref, 15, 7.0, 2.5)
+        with pytest.raises(DataError, match="non-negativity"):
+            threshold_for_pfa(d, 0.05)
+
     def test_rejects_nonmonotone_autocorrelation(self):
         d = build_lss(two_bump_reference(), 3, 10.0)
         with pytest.raises(NumericError):
@@ -417,6 +457,7 @@ class TestSharedRecursion:
     @settings(max_examples=60, deadline=None)
     @given(t=st.floats(-6.0, 8.0), m=st.integers(2, 20),
            first=st.integers(2, 20))
+    @example(t=5e-324, m=3, first=2)
     def test_matches_per_call_bound(self, t, m, first):
         want = direct_pfa_bound(_STANDARD_REF, m, 8.0, t)
         d = build_lss(_STANDARD_REF, m, 8.0)
@@ -552,12 +593,60 @@ m,eta_bound,eta_orthogonal,expected_gain
 """
 
 
+# The same command at alpha 0.01 and 0.5, as printed by the Drezner-Genz
+# bivariate kernel: where the bisection is not limited by the rounding of
+# 1 - alpha, a change of kernel leaves the printed thresholds as they are.
+GOLDEN_TABLE_ALPHA_01 = """\
+m,eta_bound,eta_orthogonal,expected_gain
+2,2.5749615,2.5749615,1.2678971
+3,2.7117482,2.7119428,2.0837499
+4,2.8038136,2.8058208,2.3885477
+5,2.8702154,2.8768946,2.5155507
+6,2.9187192,2.9339012,2.5796817
+7,2.9547079,2.9813865,2.6149869
+8,2.9817071,3.0220119,2.6366508
+9,3.0027001,3.0574671,2.6511552
+10,3.0188139,3.0888901,2.6613597
+11,3.0312668,3.1170833,2.6686982
+12,3.0409888,3.1426333,2.6741436
+13,3.0488593,3.1659812,2.6782911
+14,3.0553377,3.1874673,2.6815205
+15,3.0607401,3.2073592,2.6840828
+16,3.0652873,3.2258715,2.686149
+17,3.0691365,3.2431781,2.687839
+18,3.0724501,3.2594226,2.6892386
+19,3.0753287,3.2747246,2.6904104
+20,3.0778483,3.2891846,2.6914013
+"""
+GOLDEN_TABLE_ALPHA_50 = """\
+m,eta_bound,eta_orthogonal,expected_gain
+2,0.54495214,0.54495214,1.2678971
+3,0.81297879,0.81932862,2.0837499
+4,0.95950577,0.99814888,2.3885477
+5,1.0467948,1.1289975,2.5155507
+6,1.100207,1.2313217,2.5796817
+7,1.1348778,1.3148728,2.6149869
+8,1.1582861,1.3851981,2.6366508
+9,1.175279,1.4457385,2.6511552
+10,1.1876817,1.4987673,2.6613597
+11,1.1965461,1.5458608,2.6686982
+12,1.202878,1.5881546,2.6741436
+13,1.2080025,1.6264923,2.6782911
+14,1.2122248,1.6615168,2.6815205
+15,1.2157294,1.693729,2.6840828
+16,1.2186327,1.723526,2.686149
+17,1.2210111,1.7512281,2.687839
+18,1.2231142,1.7770967,2.6892386
+19,1.2249914,1.8013483,2.6904104
+20,1.226677,1.8241636,2.6914013
+"""
+
+
 def test_quadrature_rules_are_scipys():
-    """The rules built on first use have the bits of the Gauss-Legendre
-    rules the kernels were validated with."""
-    x20, w20 = roots_legendre(20)
+    """The rule built on first use has the bits of the Gauss-Legendre
+    rule the trivariate kernel was validated with."""
     x96, w96 = roots_legendre(96)
-    want = (x20, w20, 0.5 * (x96 + 1.0), 0.5 * w96)
+    want = (0.5 * (x96 + 1.0), 0.5 * w96)
     rules = pfabound._rules()
     assert [r.tobytes() for r in rules] == [w.tobytes() for w in want]
     assert pfabound._rules() is rules
@@ -571,3 +660,20 @@ def test_pfa_bound_command_golden_table(tmp_path, capsys):
                  "15", "--tau", "8", "--m-range", "2..20",
                  "--alpha", "0.05"]) == 0
     assert capsys.readouterr().out == GOLDEN_TABLE.replace("\n", "\r\n")
+
+
+@pytest.mark.parametrize("alpha, table, layout", [
+    ("0.01", GOLDEN_TABLE_ALPHA_01, "row"),
+    ("0.5", GOLDEN_TABLE_ALPHA_50, "column"),
+])
+def test_pfa_bound_command_golden_tables(tmp_path, capsys, alpha, table,
+                                         layout):
+    # a reference file is one row or one column of numbers
+    values = _STANDARD_REF.values
+    path = tmp_path / "ref.csv"
+    np.savetxt(path, values[None, :] if layout == "row" else values[:, None],
+               fmt="%.17g", delimiter=",")
+    assert main(["pfa-bound", "--reference", str(path), "--center-band",
+                 "15", "--tau", "8", "--m-range", "2..20",
+                 "--alpha", alpha]) == 0
+    assert capsys.readouterr().out == table.replace("\n", "\r\n")
