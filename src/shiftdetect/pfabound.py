@@ -276,7 +276,9 @@ class _BoundRecursion:
                                "shift: comparison step invalid")
 
         def gamma(u):
-            return max(0.0, autocorrelation(reference, u))
+            # the overlap of two unit atoms lies in [0, 1] (Cauchy-Schwarz);
+            # Gamma(0) can round above 1
+            return min(1.0, max(0.0, autocorrelation(reference, u)))
 
         self._rho_two = gamma(2.0 * tau)
         deltas = 2.0 * tau / (np.arange(3, m_max + 1) - 1)

@@ -136,22 +136,28 @@ def generate(config: SimConfig) -> tuple:
     """Draw one cube and its ground truth, deterministically from the seed.
 
     Draw order is fixed (noise cube, contaminated-pixel choice, amplitudes,
-    shifts) so identical configs give bit-identical output.
+    shifts) so identical configs give bit-identical output.  The lines are
+    added into the noise cube in place, so a call holds one cube buffer,
+    plus the output of the smoothing when kernel_size is set.
     """
     from scipy import ndimage
     rng = np.random.default_rng(config.seed)
     n_y, n_x, l = config.n_y, config.n_x, config.l
-    noise = config.noise.draw(rng, (n_y, n_x, l))
+    data = config.noise.draw(rng, (n_y, n_x, l))
 
     n = config.n
     n1 = int(round((1.0 - config.pi0) * n))
     picked = rng.choice(n, size=n1, replace=False) if n1 else np.empty(0, int)
     lo, hi = config.amplitude_range
     amps = rng.uniform(lo, hi, size=n1)
+    if config.target_snr is not None and n1:
+        energy = float(np.sum(amps ** 2))
+        amps = amps * math.sqrt(signal_energy_for_snr(config,
+                                                      config.target_snr)
+                                / energy)
     if config.signal_atom is not None:
         shifts = np.full(n1, config.dictionary.shifts[config.signal_atom])
-        vecs = np.broadcast_to(config.dictionary.atoms[config.signal_atom],
-                               (n1, l))
+        lines = amps[:, None] * config.dictionary.atoms[config.signal_atom]
     else:
         ref = config.dictionary.reference
         if ref is None:
@@ -159,25 +165,19 @@ def generate(config: SimConfig) -> tuple:
                             "with its reference attached")
         tau = config.dictionary.tau
         shifts = rng.uniform(-tau, tau, size=n1)
-        vecs = np.empty((n1, l))
+        lines = np.empty((n1, l))
         for i, u in enumerate(shifts):
             v = ref.unit_shift(u)
             if v is None:   # a None row would be NaN, not an error
                 raise DataError("injected shift leaves no support")
-            vecs[i] = v
-    if config.target_snr is not None and n1:
-        energy = float(np.sum(amps ** 2))
-        amps = amps * math.sqrt(signal_energy_for_snr(config,
-                                                      config.target_snr)
-                                / energy)
+            lines[i] = amps[i] * v
 
-    signal = np.zeros((n_y, n_x, l))
     rows, cols = picked // n_x, picked % n_x
-    signal[rows, cols, :] = amps[:, None] * vecs
-
+    # picked has no repeats, so each line is added once
+    data[rows, cols, :] += lines
+    del lines
     injected = np.zeros((n_y, n_x), dtype=bool)
     injected[rows, cols] = True
-    data = noise + signal
     k = config.kernel_size
     if k is not None:
         data = ndimage.convolve(data, np.ones((k, k, 1)) / k, mode="reflect")
@@ -301,6 +301,37 @@ def _derived_seed(*key) -> np.random.SeedSequence:
     return np.random.SeedSequence(key)
 
 
+def _openblas_function(name: str):
+    """The `name` function (get_num_threads, set_num_threads) of numpy's
+    bundled OpenBLAS, under any of its symbol prefixes; None when no such
+    library is found."""
+    import ctypes
+    import glob
+    import os
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                          "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"),
+                               ("openblas_", "64_"), ("openblas_", "")):
+            function = getattr(lib, f"{prefix}{name}{suffix}", None)
+            if function is not None:
+                return function
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer of `fdr_snr_sweep`: cap this process's OpenBLAS at
+    one thread (a no-op without one), so that a worker does not run one
+    BLAS thread per core beside the other workers."""
+    set_num_threads = _openblas_function("set_num_threads")
+    if set_num_threads is not None:
+        set_num_threads(1)
+
+
 def _sweep_replicate(task):
     """One (snr, replicate) cell of the FDR sweep from its fit and test
     configs; module-level so worker processes can pickle it."""
@@ -339,8 +370,9 @@ def fdr_snr_sweep(dictionary: Dictionary, snr_list, q_list, runs: int,
     levels share each replicate.  Replicates draw their seeds from (seed,
     snr-index, replicate) so results are identical whether run serially or
     on a worker pool; all their configs are checked before the first cube
-    is drawn.  Returns (records, aggregate): per-run dicts and mean FDR /
-    power keyed by (snr, q).
+    is drawn.  Each pool worker computes on one BLAS thread; a serial run
+    keeps the caller's BLAS setting.  Returns (records, aggregate): per-run
+    dicts and mean FDR / power keyed by (snr, q).
     """
     if runs < 1:
         raise DataError(f"runs must be >= 1, got {runs}")
@@ -367,7 +399,8 @@ def fdr_snr_sweep(dictionary: Dictionary, snr_list, q_list, runs: int,
         # forked workers inherit the parent's modules: imported once here,
         # scipy.ndimage is not imported again in every worker
         from scipy import ndimage  # noqa: F401
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=threads,
+                                 initializer=_one_blas_thread) as pool:
             chunks = list(pool.map(_sweep_replicate, tasks, chunksize=4))
     else:
         chunks = [_sweep_replicate(t) for t in tasks]

@@ -16,7 +16,9 @@ it) and `check_nan_policy_per_pixel` are the earlier forms of
 `teststat.compute_field`, of `pipeline.preprocess` and of
 `pipeline._check_nan_policy`; the library
 reproduces them bit for bit up to the sign of a zero (see
-`equal_up_to_zero_sign`)."""
+`equal_up_to_zero_sign`).  `generate_out_of_place` is the earlier form of
+`simulate.generate`, which sums the noise and a zero-filled signal cube;
+the library reproduces it up to the sign of a zero noise draw."""
 
 import csv
 import math
@@ -30,6 +32,7 @@ from shiftdetect.errors import DataError
 from shiftdetect.nullmodel import NullModel
 from shiftdetect.pfabound import _rules
 from shiftdetect.pipeline import Cube
+from shiftdetect.simulate import GroundTruth, signal_energy_for_snr
 from shiftdetect.similarity import SimilarityKind, score_matrix
 from shiftdetect.teststat import TestField, masked_spectra
 
@@ -85,6 +88,10 @@ def bvnu(dh: float, dk: float, r: float) -> float:
     evaluation of the arcsine-parametrized integral for |r| < 0.925 and the
     transformed complementary expansion above that.
     """
+    # on Python floats, h * k below raises instead of overflowing; a limit
+    # beyond 38.5 moves the probability by less than Phi(-38.5) < 1e-300
+    dh, dk, r = (math.copysign(math.inf, x) if abs(x) > 38.5 else x
+                 for x in map(float, (dh, dk, r)))
     if np.isposinf(dh) or np.isposinf(dk):
         return 0.0
     if np.isneginf(dh):
@@ -383,3 +390,64 @@ def check_nan_policy_per_pixel(cube) -> None:
         vcounts = np.isnan(cube.variance.reshape(flat.shape)).sum(axis=1)
         if np.any(vcounts != counts):
             raise DataError("variance mask must match data mask")
+
+
+def generate_out_of_place(config) -> tuple:
+    """`simulate.generate` as it ran before the in-place injection: the
+    lines are written into a zero-filled signal cube, and the noise and
+    signal cubes are summed into a third before the smoothing."""
+    from scipy import ndimage
+    rng = np.random.default_rng(config.seed)
+    n_y, n_x, l = config.n_y, config.n_x, config.l
+    noise = config.noise.draw(rng, (n_y, n_x, l))
+
+    n = config.n
+    n1 = int(round((1.0 - config.pi0) * n))
+    picked = rng.choice(n, size=n1, replace=False) if n1 else np.empty(0, int)
+    lo, hi = config.amplitude_range
+    amps = rng.uniform(lo, hi, size=n1)
+    if config.signal_atom is not None:
+        shifts = np.full(n1, config.dictionary.shifts[config.signal_atom])
+        vecs = np.broadcast_to(config.dictionary.atoms[config.signal_atom],
+                               (n1, l))
+    else:
+        ref = config.dictionary.reference
+        if ref is None:
+            raise DataError("uniform-shift injection needs a dictionary "
+                            "with its reference attached")
+        tau = config.dictionary.tau
+        shifts = rng.uniform(-tau, tau, size=n1)
+        vecs = np.empty((n1, l))
+        for i, u in enumerate(shifts):
+            v = ref.unit_shift(u)
+            if v is None:   # a None row would be NaN, not an error
+                raise DataError("injected shift leaves no support")
+            vecs[i] = v
+    if config.target_snr is not None and n1:
+        energy = float(np.sum(amps ** 2))
+        amps = amps * math.sqrt(signal_energy_for_snr(config,
+                                                      config.target_snr)
+                                / energy)
+
+    signal = np.zeros((n_y, n_x, l))
+    rows, cols = picked // n_x, picked % n_x
+    signal[rows, cols, :] = amps[:, None] * vecs
+
+    injected = np.zeros((n_y, n_x), dtype=bool)
+    injected[rows, cols] = True
+    data = noise + signal
+    k = config.kernel_size
+    if k is not None:
+        data = ndimage.convolve(data, np.ones((k, k, 1)) / k, mode="reflect")
+        h1_mask = ndimage.binary_dilation(injected,
+                                          structure=np.ones((k, k), bool))
+    else:
+        h1_mask = injected
+
+    amplitudes = np.zeros((n_y, n_x))
+    amplitudes[rows, cols] = amps
+    true_shifts = np.full((n_y, n_x), np.nan)
+    true_shifts[rows, cols] = shifts
+    return (Cube(data=data), GroundTruth(h1_mask=h1_mask,
+                                         amplitudes=amplitudes,
+                                         true_shifts=true_shifts))

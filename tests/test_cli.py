@@ -502,6 +502,19 @@ class TestPfaBoundCommand:
         assert np.all(np.diff(table[:, 1]) > 0)          # thresholds grow
         assert np.all(table[1:, 1] <= table[1:, 2] + 1e-9)  # slower than orth
 
+    def test_zero_tau_with_overlap_rounding_above_one(self, tmp_path,
+                                                      capsys):
+        # Gamma(0) of this reference is 1.0000000000000002; at tau = 0 every
+        # atom is the same, so every m has the one-atom threshold
+        ref = gaussian_line_reference(60, 30, 8.0)
+        path, out = tmp_path / "ref60.csv", tmp_path / "bound.csv"
+        np.savetxt(path, ref.values[None, :], fmt="%.17g", delimiter=",")
+        assert run("pfa-bound", "--reference", path, "--center-band", "30",
+                   "--tau", "0", "--m-range", "1..4", "--out", out) == 0, \
+            capsys.readouterr().err
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert table[:, 1].tolist() == [1.6448536] * 4
+
     def test_bad_range_exits_2(self, workdir):
         assert run("pfa-bound", "--reference", workdir / "ref.csv",
                    "--tau", "8", "--m-range", "6..2") == 2

@@ -158,7 +158,8 @@ class TestNormalCdf3d:
 
 
 _LIMITS = st.one_of(st.floats(-8.0, 8.0),
-                    st.sampled_from([math.inf, -math.inf]))
+                    st.sampled_from([math.inf, -math.inf, 40.0, -40.0,
+                                     1e154, -1e154, 1e300, -1e300]))
 _CORRS = st.one_of(st.floats(-1.0, 1.0),
                    st.sampled_from([0.0, 1.0, -1.0, 0.925, -0.925, 0.99999,
                                     -0.99999, 1.0 - 1e-15, -1.0 + 1e-15]))
@@ -203,6 +204,8 @@ class TestArrayKernels:
     @example(dh=3.0, dk=3.0000000000000004, r=1.0 - 1e-15)
     @example(dh=-3.0, dk=3.0000000000000004, r=-1.0 + 1e-15)
     @example(dh=1.422988712199838e-192, dk=1.422988712199838e-192, r=0.5)
+    # h k overflows for a huge limit unless the oracle takes it as infinite
+    @example(dh=-0.449, dk=1e300, r=-1.0 + 1e-16)
     def test_bivariate_matches_oracle(self, dh, dk, r):
         assert abs(float(_bvnu(dh, dk, r)) - bvnu(dh, dk, r)) <= 1e-14
 

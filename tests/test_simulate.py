@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from shiftdetect import simulate
@@ -22,7 +24,7 @@ from shiftdetect.simulate import (GroundTruth, Metrics, NoiseSpec, SimConfig,
                                   signal_energy_for_snr)
 from shiftdetect.teststat import compute_field
 
-from oracles import glr_statistic
+from oracles import generate_out_of_place, glr_statistic
 
 SAD = SimilarityKind.SPECTRAL_ANGLE
 MF = SimilarityKind.MATCHED_FILTER
@@ -136,6 +138,52 @@ class TestGenerate:
         energy = float(np.sum(truth.amplitudes ** 2))
         assert energy == pytest.approx(signal_energy_for_snr(cfg, -15.0),
                                        rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(noise=st.one_of(st.builds(NoiseSpec, st.just("gaussian"),
+                                     sigma=st.floats(0.1, 10.0)),
+                           st.builds(NoiseSpec, st.just("student"),
+                                     nu=st.floats(2.5, 30.0))),
+           n_y=st.integers(1, 12), n_x=st.integers(1, 12),
+           pi0=st.one_of(st.floats(0.01, 1.0), st.just(1.0)),
+           kernel_size=st.sampled_from([None, 1, 2, 3]),
+           signal_atom=st.one_of(st.none(), st.integers(0, 14)),
+           target_snr=st.one_of(st.none(), st.floats(-30.0, 10.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_in_place_injection_matches_out_of_place_oracle(
+            self, line_dictionary, noise, n_y, n_x, pi0, kernel_size,
+            signal_atom, target_snr, seed):
+        # noise + 0.0 in the oracle turns a -0.0 draw into +0.0, which
+        # array_equal accepts
+        cfg = SimConfig(n_y=n_y, n_x=n_x, noise=noise,
+                        dictionary=line_dictionary, pi0=pi0, seed=seed,
+                        kernel_size=kernel_size, signal_atom=signal_atom,
+                        target_snr=target_snr)
+        cube, truth = generate(cfg)
+        want_cube, want = generate_out_of_place(cfg)
+        assert np.array_equal(cube.data, want_cube.data)
+        assert np.array_equal(truth.h1_mask, want.h1_mask)
+        assert np.array_equal(truth.amplitudes, want.amplitudes)
+        assert np.array_equal(truth.true_shifts, want.true_shifts,
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("signal_atom", [7, None])
+    @pytest.mark.parametrize("kernel_size, cubes", [(3, 2.25), (None, 1.5)])
+    def test_holds_one_cube_buffer(self, line_dictionary, signal_atom,
+                                   kernel_size, cubes):
+        # the lines go into the noise cube; only the smoothing adds a
+        # second cube (the out-of-place form peaked at 4.04 and 3.10)
+        cfg = base_config(line_dictionary, n_y=100, n_x=100,
+                          signal_atom=signal_atom, kernel_size=kernel_size,
+                          target_snr=-10.0)
+        generate(cfg)   # first-call imports are not the call's memory
+        tracemalloc.start()
+        try:
+            generate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cubes * cfg.n * cfg.l * 8
 
     def test_heavier_right_tail_of_max(self, line_dictionary):
         # contaminated fields: the max statistics carry extra upper-tail
@@ -326,7 +374,7 @@ from shiftdetect.dictionary import build_lss, gaussian_line_reference
 from shiftdetect.simulate import fdr_snr_sweep
 
 class Probe:
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer):
         report["pool"] = "scipy.ndimage" in sys.modules
         raise SystemExit(json.dumps(report))
 
@@ -347,6 +395,63 @@ def test_pool_workers_inherit_ndimage():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stderr) == {"before": False, "pool": True}
+
+
+# Run in a fresh interpreter with OPENBLAS_NUM_THREADS unset and two BLAS
+# threads set: the BLAS thread counts of the serial sweep, of every pool
+# worker (read beside each replicate) and of the parent after the pool,
+# and whether the serial and pooled sweeps are equal.
+BLAS_PROBE = """
+import json
+from shiftdetect import simulate
+from shiftdetect.dictionary import build_lss, gaussian_line_reference
+
+get_num_threads = simulate._openblas_function("get_num_threads")
+if get_num_threads is None:
+    raise SystemExit(json.dumps(None))
+simulate._openblas_function("set_num_threads")(2)
+kw = dict(snr_list=[-14.0], q_list=[0.1, 0.2], runs=4, seed=7,
+          test_shape=(20, 20), fit_shape=(60, 60))
+dictionary = build_lss(gaussian_line_reference(30, 15, 5.0, 6.0), 15, 7.0)
+serial = simulate.fdr_snr_sweep(dictionary, threads=1, **kw)
+report = {"serial": get_num_threads()}
+replicate = simulate._sweep_replicate
+
+def probe(task):
+    return [dict(row, blas=get_num_threads()) for row in replicate(task)]
+
+simulate._sweep_replicate = probe
+pooled = simulate.fdr_snr_sweep(dictionary, threads=2, **kw)
+report["workers"] = sorted({row.pop("blas") for row in pooled[0]})
+report["parent"] = get_num_threads()
+report["equal"] = repr(pooled) == repr(serial)
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def blas_report():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                        "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    if proc.returncode == 1 and proc.stderr.strip() == "null":
+        pytest.skip("numpy bundles no OpenBLAS whose threads can be read")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_pool_workers_run_one_blas_thread(blas_report):
+    # two workers of two BLAS threads each would run four threads on two
+    # cores; the serial sweep and the parent keep the caller's setting
+    assert blas_report["workers"] == [1]
+    assert blas_report["serial"] == blas_report["parent"] == 2
+
+
+def test_capped_pool_matches_unpinned_serial_bit_for_bit(blas_report):
+    assert blas_report["equal"]
 
 
 def no_draw(config):
