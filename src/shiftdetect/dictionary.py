@@ -41,8 +41,8 @@ def gaussian_line_reference(length: int, center_band: int, fwhm: float,
                             trunc_halfwidth: float = 6.0) -> "ReferenceAtom":
     """Reference atom sampled from a truncated Gaussian line profile of the
     given full width at half maximum: sigma = fwhm / (2 sqrt(2 ln 2))."""
-    if fwhm <= 0:
-        raise DataError("fwhm must be positive")
+    if not 0 < fwhm < math.inf:     # written so that NaN fails too
+        raise DataError(f"fwhm must be positive and finite: {fwhm}")
     sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     model = GaussianLineModel(sigma=sigma, trunc_halfwidth=trunc_halfwidth)
     values = model(np.arange(length, dtype=float) - center_band)

@@ -18,9 +18,12 @@ about 1e-16 in absolute terms: the recursion multiplies a small orthant
 probability, which keeps few relative digits, into M ~ 0.  The
 trivariate CDF integrates Plackett's correlation-derivative identity along
 a linear correlation path with Gauss-Legendre quadrature.  Both kernels
-work on arrays, element by element; `normal_cdf_2d` and `normal_cdf_3d`
-are their validated scalar forms (a NaN limit or correlation raises
-DataError).
+work on arrays, element by element; the trivariate one takes finite
+limits only, which is all the recursion gives it.  `normal_cdf_2d` and
+`normal_cdf_3d` are their validated scalar forms: a NaN limit or
+correlation raises DataError, and `normal_cdf_3d` reduces an infinite
+limit to 0 or to the bivariate CDF of the other two.  `pfa_bound` rejects
+a NaN threshold and settles an infinite one (0 at +inf, 1 at -inf).
 
 Importing scipy.special takes longer than a CLI run that never uses it, so
 the functions import it where they need it, and the quadrature rule is
@@ -146,9 +149,6 @@ def _path_integral(b_i, b_j, b_k, rho_ij_target, rho_ki, rho_kj):
     return np.sum(term, axis=1)
 
 
-# Dropped coordinate q: the other two coordinates and the index of their
-# correlation in (rho12, rho13, rho23).
-_DROP_VARS = np.array([[1, 2, 2], [0, 2, 1], [0, 1, 0]])
 # Singular pair p of (rho12, rho13, rho23): its coordinates (i1, i2), the
 # third coordinate i3, and the index of the correlation rho(i1, i3).
 _SINGULAR_VARS = np.array([[0, 1, 2, 1], [0, 2, 1, 0], [1, 2, 0, 0]])
@@ -161,33 +161,22 @@ _PERM_RHO = np.array([[1, 2, 0], [0, 2, 1], [0, 1, 2]])
 def _tvn(b, rho) -> np.ndarray:
     """P(X1 <= b1, X2 <= b2, X3 <= b3) per row of b (n, 3), for standard
     trivariate normals with correlations rho (n, 3) = (rho12, rho13,
-    rho23), assumed valid.
+    rho23): finite limits, valid correlations.
 
-    Infinite limits and singular pairs (|rho| = 1) reduce exactly to
-    bivariate calls; otherwise the largest correlation is held fixed and
-    the other two are scaled from zero along a linear path, integrating
-    Plackett's derivative identity.  Rows are independent, so a bulk call
-    returns the same bits as one call per row.
+    Singular pairs (|rho| = 1) reduce exactly to bivariate calls;
+    otherwise the largest correlation is held fixed and the other two are
+    scaled from zero along a linear path, integrating Plackett's
+    derivative identity.  Rows are independent, so a bulk call returns the
+    same bits as one call per row.
     """
     from scipy.special import ndtr
     b = np.asarray(b, dtype=float).reshape(-1, 3)
     rho = np.asarray(rho, dtype=float).reshape(-1, 3)
     out = np.empty(len(b))
 
-    # an infinite limit drops its coordinate (+inf) or empties the event
-    # (-inf); the bivariate kernel takes any limit left in the other two
-    inf = np.isinf(b)
-    lim = inf.any(axis=1)
-    q = np.argmax(inf[lim], axis=1)
-    at = np.arange(len(q))
-    bl = b[lim]
-    j, k, jk = _DROP_VARS[q].T
-    out[lim] = np.where(bl[at, q] < 0.0, 0.0,
-                        _bvnu(-bl[at, j], -bl[at, k], rho[lim][at, jk]))
-
     # |rho| = 1 collapses two coordinates onto one
     near_one = np.abs(rho) >= 1.0 - 1e-14
-    sing = near_one.any(axis=1) & ~lim
+    sing = near_one.any(axis=1)
     p = np.argmax(near_one[sing], axis=1)
     at = np.arange(len(p))
     bs, rs = b[sing], rho[sing]
@@ -202,7 +191,7 @@ def _tvn(b, rho) -> np.ndarray:
     # Permute so the pair with the largest |rho| is (2, 3); its correlation
     # stays fixed while the two correlations touching variable 1 are scaled,
     # which keeps the path integrand smooth for highly coherent grids.
-    rows = np.flatnonzero(~(sing | lim))
+    rows = np.flatnonzero(~sing)
     fixed = np.argmax(np.abs(rho[rows]), axis=1)
     b1, b2, b3 = (b[rows, _PERM_B[fixed, c]][:, None] for c in range(3))
     r21, r31, r32 = (rho[rows, _PERM_RHO[fixed, c]][:, None]
@@ -218,7 +207,7 @@ def _tvn(b, rho) -> np.ndarray:
 
 def _check_correlations(rho12: float, rho13: float, rho23: float) -> None:
     """Reject a correlation triple outside [-1, 1] or not PSD."""
-    if np.any(np.abs([rho12, rho13, rho23]) > 1.0):
+    if not np.all(np.abs([rho12, rho13, rho23]) <= 1.0):
         raise DataError("correlations must lie in [-1, 1]")
     corr = np.array([[1.0, rho12, rho13],
                      [rho12, 1.0, rho23],
@@ -231,11 +220,16 @@ def normal_cdf_3d(h: float, k: float, j: float, rho12: float, rho13: float,
                   rho23: float) -> float:
     """P(X1 <= h, X2 <= k, X3 <= j) for standard trivariate normal.
 
-    The correlation triple must form a positive semidefinite matrix.
+    The correlation triple must form a positive semidefinite matrix.  A
+    limit of -inf gives 0; +inf leaves the bivariate CDF of the other two.
     """
     _check_correlations(rho12, rho13, rho23)
     if np.isnan([h, k, j]).any():
         raise DataError("limits must not be NaN")
+    for limit, (x, y, r) in zip((h, k, j), ((k, j, rho23), (h, j, rho13),
+                                            (h, k, rho12))):
+        if math.isinf(limit):
+            return 0.0 if limit < 0 else float(_bvnu(-x, -y, r))
     return float(_tvn([h, k, j], [rho12, rho13, rho23])[0])
 
 
@@ -289,8 +283,8 @@ class _BoundRecursion:
         self._num_rho = np.stack([r1, r1, r2], axis=1)
         self._den_rho = self._num_rho[:, 2]
         self._first_bad, self._error = m_max + 1, None
-        for size, triple in enumerate([(self._rho_two, 0.0, 0.0),
-                                       *self._num_rho], start=2):
+        # size 2's triple (Gamma(2 tau), 0, 0) is valid: Gamma is clamped
+        for size, triple in enumerate(self._num_rho, start=3):
             try:
                 _check_correlations(*triple)
             except DataError as exc:
@@ -369,11 +363,15 @@ def pfa_bound(dictionary: Dictionary, eta: float) -> float:
     non-increasing; collapses to the orthogonal closed form when all the
     involved correlations vanish.
     """
+    if math.isnan(eta):
+        raise DataError("eta must not be NaN")
     m = dictionary.m
     if m == 1:
         return pfa_exact_orthogonal(1, eta)
     recursion = _BoundRecursion(_reference(dictionary), dictionary.tau, m)
     recursion.check(m)
+    if math.isinf(eta):
+        return 0.0 if eta > 0 else 1.0
     return float(recursion.pfa([float(eta)], [m])[0, -1])
 
 

@@ -61,9 +61,11 @@ class SimConfig:
 
     signal_atom selects a fixed dictionary atom for every contaminated
     pixel; None draws an independent uniform shift on [-tau, tau] per pixel
-    (which needs the dictionary's reference).  target_snr, when set,
-    must be finite; it rescales the drawn amplitudes so the realized total
-    signal energy matches 10 log10(A / (n l sigma^2)) = target_snr.
+    (which needs the dictionary's reference).  Amplitudes are drawn
+    uniformly from amplitude_range (lo, hi), 0 <= lo <= hi < inf.
+    target_snr, when set, must be finite and hi positive; it rescales the
+    drawn amplitudes so the realized total signal energy matches
+    10 log10(A / (n l sigma^2)) = target_snr.
     kernel_size k, when set, smooths every band with the uniform k x k
     kernel of weights 1/k, which keeps the noise variance.
     """
@@ -85,8 +87,8 @@ class SimConfig:
         if self.n_y < 1 or self.n_x < 1:
             raise DataError(f"empty cube shape {self.n_y}x{self.n_x}")
         lo, hi = self.amplitude_range
-        if not (0 <= lo <= hi):
-            raise DataError("bad amplitude range")
+        if not 0 <= lo <= hi < math.inf:
+            raise DataError(f"bad amplitude range {self.amplitude_range}")
         if self.kernel_size is not None and self.kernel_size < 1:
             raise DataError(f"uniform kernel size must be >= 1, "
                             f"got {self.kernel_size}")
@@ -96,6 +98,8 @@ class SimConfig:
         if self.target_snr is not None and not math.isfinite(
                 self.target_snr):
             raise DataError(f"target_snr must be finite: {self.target_snr}")
+        if self.target_snr is not None and not hi > 0:
+            raise DataError("target_snr needs an amplitude range above 0")
 
     @property
     def n(self) -> int:
@@ -369,15 +373,18 @@ def fdr_snr_sweep(dictionary: Dictionary, snr_list, q_list, runs: int,
     same contaminated process, then applied to the test cube; all nominal
     levels share each replicate.  Replicates draw their seeds from (seed,
     snr-index, replicate) so results are identical whether run serially or
-    on a worker pool; all their configs are checked before the first cube
-    is drawn.  Each pool worker computes on one BLAS thread; a serial run
-    keeps the caller's BLAS setting.  Returns (records, aggregate): per-run
-    dicts and mean FDR / power keyed by (snr, q).
+    on a worker pool; the levels and all their configs are checked before
+    the first cube is drawn.  Each pool worker computes on one BLAS
+    thread; a serial run keeps the caller's BLAS setting.  Returns
+    (records, aggregate): per-run dicts and mean FDR / power keyed by
+    (snr, q).
     """
     if runs < 1:
         raise DataError(f"runs must be >= 1, got {runs}")
     if len(snr_list) == 0 or len(q_list) == 0:
         raise DataError("snr_list and q_list must be non-empty")
+    if not all(0.0 <= q < 1.0 for q in q_list):
+        raise DataError("q must lie in [0, 1)")
     if threads < 1:
         raise DataError(f"threads must be >= 1, got {threads}")
     tasks = []
@@ -432,13 +439,16 @@ def glr_contrast(dictionary: Dictionary, noise: NoiseSpec, q_list,
     Monte-Carlo draws under unit normal noise; its per-band noise
     variances are re-estimated on each cube.  The max test uses the
     matched-filter score and fits its null on the fit cube (the fit-large
-    / test-small workflow).  Returns (records, aggregate) with mean FDR
-    and power per (method, q).
+    / test-small workflow).  The levels are checked before the first cube
+    is drawn.  Returns (records, aggregate) with mean FDR and power per
+    (method, q).
     """
     if runs < 1:
         raise DataError(f"runs must be >= 1, got {runs}")
     if len(q_list) == 0:
         raise DataError("q_list must be non-empty")
+    if not all(0.0 <= q < 1.0 for q in q_list):
+        raise DataError("q must lie in [0, 1)")
     null_sample = calibrate_glr_null(dictionary,
                                      seed=_derived_seed(seed, 0xca1))
     records = []

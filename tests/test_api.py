@@ -64,3 +64,37 @@ def test_library_code_does_not_print():
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "print"]
     assert not calls, f"print outside cli.py: {calls}"
+
+
+# Settable values: parameters with a default in every function and method,
+# dataclass fields with a default, and command-line options.  A change
+# that adds a knob raises the budget in the same diff and says why.
+SETTABLE_VALUES_BUDGET = 100
+
+
+def _is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id",
+                       None) == "dataclass" for d in node.decorator_list)
+
+
+def count_settable_values(package: Path) -> int:
+    count = 0
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(s, ast.AnnAssign)
+                             and s.value is not None for s in node.body)
+            elif (path.name == "cli.py" and isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "add_argument"):
+                count += 1
+    return count
+
+
+def test_settable_values_within_budget():
+    count = count_settable_values(Path(shiftdetect.__file__).parent)
+    assert count <= SETTABLE_VALUES_BUDGET, (
+        f"{count} settable values, budget {SETTABLE_VALUES_BUDGET}")

@@ -427,6 +427,20 @@ class TestMalformedNumbers:
         pytest.param(["ingest", "--input", "{csvdir}", "--output", "{out}"],
                      small_csvdir(**{"meta.txt": "n_y=abc\nn_x=2\nl=3\n"}),
                      id="ingest-csvdir-n-y-abc"),
+        # an infinite FWHM would build a flat box of the truncation width
+        pytest.param(["glr-compare", "--ref-fwhm", "inf", "--runs", "1",
+                      "--out", "{out}"], None,
+                     id="glr-compare-ref-fwhm-inf"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}",
+                      "--runs", "1"],
+                     "ny=8\nnx=8\nfit_ny=30\nfit_nx=30\nsnr_list=-10\n"
+                     "q_list=0.1\nref_fwhm=inf\n",
+                     id="simulate-ref-fwhm-inf"),
+        pytest.param(["glr-compare", "--q-grid", "0.1,1", "--runs", "1",
+                      "--out", "{out}"], None, id="glr-compare-q-grid-one"),
+        pytest.param(["simulate", "--config", "{conf}", "--out", "{out}",
+                      "--runs", "1"], "q_list=0.1,nan\n",
+                     id="simulate-q-list-nan"),
     ])
     def test_exits_2(self, workdir, tmp_path, capsys, argv, config):
         """`config` is the text or bytes of a config (or reference or

@@ -104,6 +104,15 @@ def test_nan_limit_raises(args):
         cdf(*args)
 
 
+@pytest.mark.parametrize("limits", [(0.0, 0.0, 0.0), (math.inf, 0.0, 0.0)])
+@pytest.mark.parametrize("rho", [(math.nan, 0.0, 0.0), (0.5, math.nan, 0.5),
+                                 (0.0, 0.0, math.nan)])
+def test_nan_correlation_raises(limits, rho):
+    # the range test fails on NaN, before the PSD test or the kernels see it
+    with pytest.raises(DataError, match="correlations"):
+        normal_cdf_3d(*limits, *rho)
+
+
 class TestNormalCdf3d:
     def test_independence(self):
         got = normal_cdf_3d(0.5, -0.2, 1.1, 0.0, 0.0, 0.0)
@@ -302,6 +311,16 @@ class TestPfaBound:
         for eta in (0.5, 1.5, 2.5):
             assert pfa_bound(d, eta) == pytest.approx(
                 pfa_exact_orthogonal(11, eta), abs=1e-7)
+
+    @pytest.mark.parametrize("m, tau", [(1, 0.0), (2, 8.0), (5, 8.0)])
+    def test_eta_nan_raises_and_infinite_eta_is_exact(self, m, tau):
+        # the recursion takes finite thresholds only; pfa_bound settles
+        # the infinite ones and has no bound at NaN
+        d = build_lss(gaussian_line_reference(30, 15, 5.0), m, tau)
+        assert pfa_bound(d, math.inf) == 0.0
+        assert pfa_bound(d, -math.inf) == 1.0
+        with pytest.raises(DataError, match="NaN"):
+            pfa_bound(d, math.nan)
 
     def test_single_atom_delegates(self, gauss_reference):
         d = build_lss(gauss_reference, 1, 0.0)

@@ -15,7 +15,7 @@ from shiftdetect.nullmodel import NullModel
 from shiftdetect.pipeline import (Cube, DictionaryParams, FsfKernel,
                                   RegionSpec, _check_nan_policy, _nanmedian,
                                   _write_grid, estimate_reference, extract,
-                                  gaussian_fsf,
+                                  fit_region, gaussian_fsf,
                                   load_cube, load_cube_csvdir, preprocess,
                                   run_detection, save_cube, save_cube_csvdir,
                                   write_maps, write_pgm)
@@ -673,6 +673,49 @@ class TestRunDetection:
         again = run_detection(cube, region, q=0.2,
                               dictionary=out.dictionary, model=out.model)
         assert "reference_pixels" not in again.maps
+
+
+class TestMaskedTestPixels:
+    REGION = RegionSpec(center_y=20, center_x=20, center_band=15,
+                        half_width=8, half_bands=15, fit_half_width=20)
+
+    @settings(max_examples=25, deadline=None)
+    @given(masked=hnp.arrays(np.bool_, (16, 16)),
+           level=st.floats(0.0, 1.0, exclude_max=True))
+    def test_masked_pixels_are_left_out(self, line_dictionary, masked,
+                                        level):
+        # a supplied dictionary and model: masking in the test window
+        # changes nothing but which pixels are tested
+        cube, _ = generate(SimConfig(
+            n_y=40, n_x=40, noise=NoiseSpec("gaussian"),
+            dictionary=line_dictionary, pi0=0.8, amplitude_range=(2.0, 5.0),
+            seed=3, signal_atom=7))
+        _, model, _ = fit_region(cube, self.REGION,
+                                 dictionary=line_dictionary)
+        plain = run_detection(cube, self.REGION, dictionary=line_dictionary,
+                              model=model)
+        data = cube.data.copy()
+        data[12:28, 12:28][masked] = np.nan
+        out = run_detection(Cube(data=data), self.REGION,
+                            dictionary=line_dictionary, model=model)
+
+        decisions = [v for v in out.maps.values() if v.dtype == bool]
+        assert len(decisions) == 1 + 4     # `detected` and the overlays
+        for name, values in out.maps.items():
+            if values.dtype == bool:
+                assert not values[masked].any(), name
+            else:
+                assert np.isnan(values[masked]).all(), name
+                assert not np.isnan(values[~masked]).any(), name
+        assert out.field.n == np.count_nonzero(~masked)
+        assert not out.field.to_map(out.result.detected_at(level))[
+            masked].any()
+        # close, not equal: the scoring product of the masked run has
+        # fewer rows, and BLAS may sum its entries in another order
+        for stat in ("tmax", "tmin"):
+            got = out.field.to_map(getattr(out.field, stat))[~masked]
+            want = plain.field.to_map(getattr(plain.field, stat))[~masked]
+            assert np.allclose(got, want, rtol=0, atol=1e-12), stat
 
 
 class TestMapOutput:

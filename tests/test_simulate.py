@@ -346,6 +346,25 @@ class TestSimConfigValidation:
         with pytest.raises(DataError, match="target_snr"):
             base_config(line_dictionary, target_snr=value)
 
+    # generate would divide by a zero drawn energy, or overflow drawing
+    # from an infinite range
+    @pytest.mark.parametrize("bounds, target_snr", [
+        ((0.0, 0.0), -10.0), ((0.0, math.inf), None),
+        ((0.0, math.inf), -10.0), ((1.0, math.nan), None),
+        ((math.nan, 1.0), None), ((-1.0, 1.0), None), ((2.0, 1.0), None)])
+    def test_amplitude_range_drawable(self, line_dictionary, bounds,
+                                      target_snr):
+        with pytest.raises(DataError, match="amplitude range"):
+            base_config(line_dictionary, amplitude_range=bounds,
+                        target_snr=target_snr)
+
+    def test_zero_amplitudes_without_target_snr(self, line_dictionary):
+        # without rescaling a zero range is drawable: the lines vanish
+        config = base_config(line_dictionary, n_y=4, n_x=4,
+                             amplitude_range=(0.0, 0.0))
+        _, truth = generate(config)
+        assert not truth.amplitudes.any()
+
 
 class TestFdrSnrSweep:
     def test_pool_matches_serial_bit_for_bit(self, line_dictionary):
@@ -357,8 +376,12 @@ class TestFdrSnrSweep:
 
     @pytest.mark.parametrize("kw", [
         dict(snr_list=[]), dict(q_list=[]), dict(threads=0),
-        dict(threads=-1)], ids=["snr-empty", "q-empty", "threads-0",
-                                "threads-negative"])
+        dict(threads=-1),
+        dict(snr_list=[-10.0, -8.0], q_list=[0.05, 1.5], runs=3),
+        dict(q_list=[0.1, math.nan]), dict(q_list=[-0.05]),
+        dict(q_list=[math.nan], threads=2)],
+        ids=["snr-empty", "q-empty", "threads-0", "threads-negative",
+             "q-above-one", "q-nan", "q-negative", "q-nan-pooled"])
     def test_rejects_before_drawing(self, line_dictionary, monkeypatch, kw):
         monkeypatch.setattr(simulate, "generate", no_draw)
         args = {**dict(snr_list=[-14.0], q_list=[0.1], runs=1), **kw}
@@ -462,3 +485,11 @@ def test_glr_contrast_rejects_empty_q_list(line_dictionary, monkeypatch):
     monkeypatch.setattr(simulate, "generate", no_draw)
     with pytest.raises(DataError, match="q_list"):
         glr_contrast(line_dictionary, NoiseSpec("gaussian"), [], runs=1)
+
+
+@pytest.mark.parametrize("q_list", [[math.nan], [0.1, 1.0], [-0.05]])
+def test_glr_contrast_rejects_levels_before_drawing(line_dictionary,
+                                                    monkeypatch, q_list):
+    monkeypatch.setattr(simulate, "generate", no_draw)
+    with pytest.raises(DataError, match=r"q must lie in \[0, 1\)"):
+        glr_contrast(line_dictionary, NoiseSpec("gaussian"), q_list, runs=2)
