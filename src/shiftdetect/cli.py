@@ -253,7 +253,9 @@ def cmd_glr_compare(args) -> int:
     l = args.l
     ref = gaussian_line_reference(l, l // 2, args.ref_fwhm)
     dictionary = build_lss(ref, args.m, args.tau)
-    noise = NoiseSpec(family=args.noise, nu=args.nu)
+    if args.noise == "gaussian" and args.nu is not None:
+        raise DataError("--nu applies to --noise student only")
+    noise = NoiseSpec(args.noise, nu=4.0 if args.nu is None else args.nu)
     q_list = _parse_floats(args.q_grid, "--q-grid")
     _, aggregate = glr_contrast(dictionary, noise, q_list, runs=args.runs,
                                 seed=args.seed)
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="error control: empirical null vs calibrated GLR")
     p.add_argument("--noise", default="gaussian",
                    choices=["gaussian", "student"])
-    p.add_argument("--nu", type=float, default=4.0)
+    p.add_argument("--nu", type=float, default=None)
     p.add_argument("--runs", type=int, default=200)
     p.add_argument("--q-grid", default="0.05,0.1,0.2,0.3,0.4")
     p.add_argument("--l", type=int, default=30)

@@ -67,12 +67,12 @@ def bh_reject(pvalues) -> DetectionResult:
     return _decide(p, 1.0)
 
 
-def qvalues(pvalues, pi0: float = 1.0) -> np.ndarray:
-    """Smallest control level at which each p-value would be rejected:
-    running minimum (from the largest p downward) of pi0 * p_(k) * n / k,
+def qvalues(pvalues) -> np.ndarray:
+    """Smallest level at which the plain step-up rule rejects each p-value:
+    running minimum (from the largest p downward) of p_(k) * n / k,
     clipped to [0, 1].  A q-value of 0 is an infimum: level 0 rejects
     nothing."""
-    return _decide(np.asarray(pvalues, dtype=float), pi0).qvalues
+    return _decide(np.asarray(pvalues, dtype=float), 1.0).qvalues
 
 
 def storey_pi0(pvalues, zeta) -> float:

@@ -19,11 +19,13 @@ probability, which keeps few relative digits, into M ~ 0.  The
 trivariate CDF integrates Plackett's correlation-derivative identity along
 a linear correlation path with Gauss-Legendre quadrature.  Both kernels
 work on arrays, element by element; the trivariate one takes finite
-limits only, which is all the recursion gives it.  `normal_cdf_2d` and
-`normal_cdf_3d` are their validated scalar forms: a NaN limit or
-correlation raises DataError, and `normal_cdf_3d` reduces an infinite
-limit to 0 or to the bivariate CDF of the other two.  `pfa_bound` rejects
-a NaN threshold and settles an infinite one (0 at +inf, 1 at -inf).
+limits only, which is all the recursion gives it.  A limit or threshold
+beyond +-38.5 counts as infinite: the normal CDF is 0.0 or 1.0 there.
+`normal_cdf_2d` and `normal_cdf_3d` are the kernels' scalar forms: a NaN
+limit or correlation raises DataError, and `normal_cdf_3d` reduces an
+infinite limit to 0 or to the bivariate CDF of the other two.
+`pfa_bound` rejects a NaN threshold and settles an infinite one (0 at
++inf, 1 at -inf).
 
 Importing scipy.special takes longer than a CLI run that never uses it, so
 the functions import it where they need it, and the quadrature rule is
@@ -49,6 +51,9 @@ _MONOTONE_GRID = np.linspace(-6.0, 8.0, 29)
 # a bisection round of the 2..20 table (171 rows) is one call, and the
 # kernels' temporaries stay under 1 MB.
 _KERNEL_ROWS = 180
+# A limit or threshold beyond +-38.5 counts as infinite: ndtr(-38.5) is
+# 0.0 and ndtr(38.5) is 1.0 in double precision.
+_SATURATED = 38.5
 
 
 @functools.cache
@@ -69,9 +74,9 @@ def _bvnu(dh, dk, r) -> np.ndarray:
     beta = 1/2 when h and k lie on opposite sides of 0 (one of them 0 and
     h + k < 0 included): P(X <= h, Y <= k) = (Phi(h) + Phi(k))/2 - beta
     - T(h, (k/h - r)/s) - T(k, (h/k - r)/s), with k/h = 1 at h = k = 0.
-    Exact for an infinite limit, r = 0 and |r| = 1; elsewhere the error is
-    about 1e-16 in absolute terms, so P(X <= -6, Y <= -6; 0.03) = 2.9e-18
-    keeps only six digits.
+    Exact for an infinite limit (beyond +-38.5), r = 0 and |r| = 1;
+    elsewhere the error is about 1e-16 in absolute terms, so
+    P(X <= -6, Y <= -6; 0.03) = 2.9e-18 keeps only six digits.
     """
     from scipy.special import ndtr, owens_t
     dh, dk, r = np.broadcast_arrays(*(np.asarray(v, dtype=float)
@@ -79,8 +84,8 @@ def _bvnu(dh, dk, r) -> np.ndarray:
     shape = dh.shape
     dh, dk, r = dh.ravel(), dk.ravel(), r.ravel()
     # an infinite limit makes the probability the product of the margins
-    # (ndtr(-inf) = 0, ndtr(inf) = 1), exactly as r = 0 does
-    indep = np.isinf(dh) | np.isinf(dk) | (r == 0.0)
+    # (its own margin is 0 or 1), exactly as r = 0 does
+    indep = (np.abs(dh) > _SATURATED) | (np.abs(dk) > _SATURATED) | (r == 0.0)
     out = ndtr(-dh) * ndtr(-dk)
     one = ~indep & (r >= 1.0)
     out[one] = ndtr(-np.maximum(dh[one], dk[one]))
@@ -221,14 +226,15 @@ def normal_cdf_3d(h: float, k: float, j: float, rho12: float, rho13: float,
     """P(X1 <= h, X2 <= k, X3 <= j) for standard trivariate normal.
 
     The correlation triple must form a positive semidefinite matrix.  A
-    limit of -inf gives 0; +inf leaves the bivariate CDF of the other two.
+    limit below -38.5 gives 0; above 38.5, the bivariate CDF of the other
+    two.
     """
     _check_correlations(rho12, rho13, rho23)
     if np.isnan([h, k, j]).any():
         raise DataError("limits must not be NaN")
     for limit, (x, y, r) in zip((h, k, j), ((k, j, rho23), (h, j, rho13),
                                             (h, k, rho12))):
-        if math.isinf(limit):
+        if abs(limit) > _SATURATED:
             return 0.0 if limit < 0 else float(_bvnu(-x, -y, r))
     return float(_tvn([h, k, j], [rho12, rho13, rho23])[0])
 
@@ -361,7 +367,7 @@ def pfa_bound(dictionary: Dictionary, eta: float) -> float:
     Requires a dictionary that is `build_lss(reference, m, tau)` bit for
     bit (DataError otherwise), whose autocorrelation is non-negative and
     non-increasing; collapses to the orthogonal closed form when all the
-    involved correlations vanish.
+    involved correlations vanish.  The bound is 0 above 38.5, 1 below -38.5.
     """
     if math.isnan(eta):
         raise DataError("eta must not be NaN")
@@ -370,7 +376,7 @@ def pfa_bound(dictionary: Dictionary, eta: float) -> float:
         return pfa_exact_orthogonal(1, eta)
     recursion = _BoundRecursion(_reference(dictionary), dictionary.tau, m)
     recursion.check(m)
-    if math.isinf(eta):
+    if abs(eta) > _SATURATED:
         return 0.0 if eta > 0 else 1.0
     return float(recursion.pfa([float(eta)], [m])[0, -1])
 

@@ -203,15 +203,13 @@ def generate(config: SimConfig) -> tuple:
 # baseline detectors
 
 
-def glr_field(cube, dictionary: Dictionary, sigma_diag) -> np.ndarray:
+def glr_field(cube: Cube, dictionary: Dictionary, sigma_diag) -> np.ndarray:
     """1-sparse non-negative GLR score of every pixel: the largest
     standardized whitened matched-filter response
     max_j d_j' S^-1 y / sqrt(d_j' S^-1 d_j) with diagonal S (the
     least-negative one when every coefficient estimate is non-positive).
     Returns a flat array in row-major pixel order."""
-    data = getattr(cube, "data", cube)
-    data = np.asarray(data, dtype=float)
-    spectra = data.reshape(-1, dictionary.length)
+    spectra = cube.data.reshape(-1, dictionary.length)
     sigma_diag = np.asarray(sigma_diag, dtype=float)
     if np.any(sigma_diag <= 0):
         raise DataError("sigma_diag must be strictly positive")
@@ -278,16 +276,10 @@ class Metrics:
     power: float
 
 
-def score(detected, truth: GroundTruth) -> Metrics:
-    """Count detections against the ground truth.
-
-    `detected` is a boolean map or a flat boolean vector in row-major pixel
-    order.
-    """
-    detected = np.asarray(detected)
-    if detected.size != truth.h1_mask.size:
+def score(detected: np.ndarray, truth: GroundTruth) -> Metrics:
+    """Count the detections of a boolean map against the ground truth."""
+    if detected.shape != truth.h1_mask.shape:
         raise DataError("detection map and truth shapes differ")
-    detected = detected.reshape(truth.h1_mask.shape)
     r = int(np.count_nonzero(detected))
     tp = int(np.count_nonzero(detected & truth.h1_mask))
     fp = r - tp
@@ -474,7 +466,7 @@ def glr_contrast(dictionary: Dictionary, noise: NoiseSpec, q_list,
         for q in q_list:
             for method, detected in (
                     ("maxtest", field.to_map(res.detected_at(q))),
-                    ("glr", g_res.detected_at(q))):
+                    ("glr", g_res.detected_at(q).reshape(cube.shape[:2]))):
                 m = score(detected, truth)
                 records.append({"method": method, "q": q, "rep": rep,
                                 "fdp": m.fdp, "power": m.power})

@@ -71,12 +71,10 @@ def masked_spectra(data: np.ndarray) -> np.ndarray | None:
 
 def compute_field(cube, dictionary: Dictionary,
                   kind: SimilarityKind) -> TestField:
-    """Max/min statistic and best-matching atom for every tested pixel.
-
-    `cube` may be a pipeline Cube, a (n_y, n_x, l) array, or a (n, l) matrix
-    of spectra (treated as an (n, 1) grid); masked pixels are left out.
-    Argmax ties break toward the lowest atom index; a NaN score counts as
-    the maximum, as in `np.argmax`.
+    """Max/min statistic and best-matching atom for every tested pixel of
+    a pipeline `Cube`; masked pixels are left out.  Argmax ties break
+    toward the lowest atom index; a NaN score counts as the maximum, as in
+    `np.argmax`.
 
     The unmasked spectra are scored in cache-sized blocks; max, min and
     argmax run over pixels of an atom-major copy of each block's
@@ -86,11 +84,7 @@ def compute_field(cube, dictionary: Dictionary,
     whole-field product: the statistics are its exact order statistics,
     though a zero (or, from infinite input, NaN) one may differ in sign.
     """
-    data = np.asarray(getattr(cube, "data", cube), dtype=float)
-    if data.ndim == 2:
-        data = data[:, None, :]
-    if data.ndim != 3:
-        raise DataError("expected a (n_y, n_x, l) cube or (n, l) spectra")
+    data = cube.data
     if data.shape[2] != dictionary.length:
         raise DataError(
             f"cube has {data.shape[2]} bands but atoms have length "

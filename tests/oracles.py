@@ -318,11 +318,7 @@ def compute_field_rowwise(cube, dictionary, kind) -> TestField:
     """`compute_field` with per-pixel NaN counts and a copy of the unmasked
     spectra on every call, and max, min and argmax taken along the atom
     axis of the (pixel, atom) scores."""
-    data = np.asarray(getattr(cube, "data", cube), dtype=float)
-    if data.ndim == 2:
-        data = data[:, None, :]
-    if data.ndim != 3:
-        raise DataError("expected a (n_y, n_x, l) cube or (n, l) spectra")
+    data = cube.data
     if data.shape[2] != dictionary.length:
         raise DataError(
             f"cube has {data.shape[2]} bands but atoms have length "

@@ -359,8 +359,8 @@ def test_ac8_property_suites_standalone(dictionary, tmp_path):
     rng = np.random.default_rng(8008)
 
     cube = rng.standard_normal((12, 12, 30))
-    plus = compute_field(cube, dictionary, SAD)
-    minus = compute_field(-cube, dictionary, SAD)
+    plus = compute_field(Cube(data=cube), dictionary, SAD)
+    minus = compute_field(Cube(data=-cube), dictionary, SAD)
     assert np.array_equal(minus.tmax, -plus.tmin)
     assert np.array_equal(minus.tmin, -plus.tmax)
 

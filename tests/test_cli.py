@@ -418,6 +418,8 @@ class TestMalformedNumbers:
         pytest.param(["simulate", "--config", "{conf}", "--out", "{out}",
                       "--runs", "1"], "noise=gaussian\nnu=3\n",
                      id="simulate-gaussian-nu"),
+        pytest.param(["glr-compare", "--nu", "3", "--runs", "1",
+                      "--out", "{out}"], None, id="glr-compare-gaussian-nu"),
         pytest.param(["pfa-bound", "--reference", "{ref}", "--tau", "2",
                       "--m-range", "2..3", "--center-band", "99"], None,
                      id="pfa-bound-center-band-outside"),

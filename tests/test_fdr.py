@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from shiftdetect.errors import DataError
-from shiftdetect.fdr import bh_reject, detect, qvalues, storey_pi0
+from shiftdetect.fdr import _decide, bh_reject, detect, qvalues, storey_pi0
 from shiftdetect.nullmodel import empirical_pvalues, fit_null
 from shiftdetect.similarity import SimilarityKind
 from shiftdetect.teststat import compute_field
@@ -77,14 +77,14 @@ class TestQvalues:
         assert qvalues(np.array([0.37]))[0] == pytest.approx(0.37)
 
     def test_hand_example(self):
-        # raw pi0*p*n/k = (0.04, 0.04, 0.04, 0.9); running min from the top
+        # raw p*n/k = (0.04, 0.04, 0.04, 0.9); running min from the top
         # leaves it unchanged
         q = qvalues(np.array([0.01, 0.02, 0.03, 0.9]))
         assert np.allclose(q, [0.04, 0.04, 0.04, 0.9])
 
     def test_monotone_in_pvalue(self, rng):
         p = rng.random(200)
-        q = qvalues(p, pi0=0.9)
+        q = _decide(p, 0.9).qvalues
         order = np.argsort(p)
         assert np.all(np.diff(q[order]) >= -1e-15)
 
@@ -96,10 +96,10 @@ class TestQvalues:
             pi0 = float(rng.uniform(0.5, 1.0))
             q = float(rng.uniform(0.02, 0.5))
             det = bh_reject(p).detected_at(q / pi0)
-            assert np.array_equal(qvalues(p, pi0) <= q, det)
+            assert np.array_equal(_decide(p, pi0).qvalues <= q, det)
 
     def test_clipped_to_unit(self, rng):
-        q = qvalues(rng.random(50) * 0.99 + 0.01, pi0=1.0)
+        q = qvalues(rng.random(50) * 0.99 + 0.01)
         assert np.all(q <= 1.0)
 
 
@@ -266,7 +266,7 @@ class TestOneStepUpRule:
         assert np.array_equal(res.detected_at(q), scan)
         if q == 0:
             return  # a zero q-value is not rejected at level 0
-        qv = qvalues(p, pi0)
+        qv = _decide(p, pi0).qvalues
         plug_in = step_up_set(p, min(q / pi0, 1.0))
         # two float evaluations of one rule: they can disagree only where
         # pi0 p_(k) n / k equals q in exact arithmetic

@@ -245,6 +245,27 @@ class TestArrayKernels:
             want = float(ndtr(b[finite[0]])) if finite else 1.0
         assert abs(normal_cdf_3d(*b, *rho) - want) <= 1e-14
 
+    @settings(max_examples=200, deadline=None)
+    @given(big=st.sampled_from([math.nextafter(38.5, math.inf), 40.0, 80.0,
+                                1e154, 1e200, 1e300]),
+           sign=st.sampled_from([1.0, -1.0]), at=st.integers(0, 2),
+           b=st.lists(_LIMITS, min_size=3, max_size=3),
+           rho=correlation_triples())
+    def test_saturated_limit_gives_the_infinite_limits_bits(self, big, sign,
+                                                            at, b, rho):
+        # beyond 38.5 the normal CDF is 0.0 or 1.0 in double precision
+        saturated, infinite = list(b), list(b)
+        saturated[at], infinite[at] = sign * big, sign * math.inf
+        bits = [np.float64(v).tobytes() for v in (
+            _bvnu(*saturated[:2], rho[0]), _bvnu(*infinite[:2], rho[0]),
+            normal_cdf_3d(*saturated, *rho), normal_cdf_3d(*infinite, *rho))]
+        assert bits[0] == bits[1] and bits[2] == bits[3]
+
+    def test_huge_limits_are_not_nan(self):
+        assert normal_cdf_3d(1e200, 1e200, 1e200, 0.5, 0.4, 0.3) == 1.0
+        assert normal_cdf_3d(1e200, 0.3, -0.2, 0.5, 0.4, 0.3) == \
+            normal_cdf_2d(0.3, -0.2, 0.3)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(_LIMITS, _LIMITS, _CORRS), min_size=1,
                     max_size=40))
@@ -321,6 +342,15 @@ class TestPfaBound:
         assert pfa_bound(d, -math.inf) == 1.0
         with pytest.raises(DataError, match="NaN"):
             pfa_bound(d, math.nan)
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 20])
+    def test_saturated_eta_is_settled(self, m):
+        # M_m(t) is 1.0 or 0.0 in double precision beyond |t| = 38.5; a
+        # huge t would overflow the quadrature's b * b to NaN
+        d = build_lss(gaussian_line_reference(30, 15, 5.0), m, 8.0)
+        for eta in (math.nextafter(38.5, math.inf), 40.0, 1e154, 1e300):
+            assert pfa_bound(d, eta) == 0.0
+            assert pfa_bound(d, -eta) == 1.0
 
     def test_single_atom_delegates(self, gauss_reference):
         d = build_lss(gauss_reference, 1, 0.0)

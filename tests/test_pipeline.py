@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftdetect.dictionary import build_lss
-from shiftdetect.errors import DataError
+from shiftdetect.errors import DataError, NumericError
 from shiftdetect.nullmodel import NullModel
-from shiftdetect.pipeline import (Cube, DictionaryParams, FsfKernel,
-                                  RegionSpec, _check_nan_policy, _nanmedian,
-                                  _write_grid, estimate_reference, extract,
-                                  fit_region, gaussian_fsf,
+from shiftdetect.pipeline import (CONTOUR_LEVELS, Cube, DictionaryParams,
+                                  FsfKernel, RegionSpec, _check_nan_policy,
+                                  _nanmedian, _write_grid, estimate_reference,
+                                  extract, fit_region, gaussian_fsf,
                                   load_cube, load_cube_csvdir, preprocess,
                                   run_detection, save_cube, save_cube_csvdir,
                                   write_maps, write_pgm)
@@ -716,6 +716,49 @@ class TestMaskedTestPixels:
             got = out.field.to_map(getattr(out.field, stat))[~masked]
             want = plain.field.to_map(getattr(plain.field, stat))[~masked]
             assert np.allclose(got, want, rtol=0, atol=1e-12), stat
+
+
+class TestTinyFields:
+    """`run_detection` on test windows of 2x2 to 6x6 pixels inside fit
+    windows of at most 8x8: it returns maps of the window's shape, or it
+    raises DataError or NumericError, never another exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(half=st.integers(1, 3), fit=st.integers(1, 4),
+           quantized=st.booleans(), line=st.sampled_from([0.0, 3.0, 20.0]),
+           supplied=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_window_maps_or_input_error(self, line_dictionary, half, fit,
+                                        quantized, line, supplied, seed):
+        # Gaussian or quantised (ties, zero spectra) noise with a line of
+        # the dictionary on the centre 2x2; the reference is estimated or
+        # the dictionary supplied
+        fit = max(fit, half)
+        rng = np.random.default_rng(seed)
+        shape = (2 * fit, 2 * fit, 30)
+        if quantized:
+            data = rng.integers(-2, 3, shape) * 0.5
+        else:
+            data = rng.standard_normal(shape)
+        centre = slice(fit - 1, fit + 1)
+        data[centre, centre] += line * line_dictionary.atoms[7]
+        region = RegionSpec(center_y=fit, center_x=fit, center_band=15,
+                            half_width=half, half_bands=15,
+                            fit_half_width=fit)
+        try:
+            out = run_detection(Cube(data=data), region, q=0.2,
+                                dictionary=line_dictionary if supplied
+                                else None)
+        except (DataError, NumericError):
+            return
+        maps = out.maps
+        for name, values in maps.items():
+            assert values.shape == (2 * half, 2 * half), name
+        for name in ("pvalue", "qvalue"):
+            assert np.all((maps[name] >= 0.0) & (maps[name] <= 1.0)), name
+        overlays = [maps[f"detected_q{level:g}"] for level in CONTOUR_LEVELS]
+        for lower, higher in zip(overlays, overlays[1:]):
+            assert np.all(higher | ~lower)
+        assert np.array_equal(maps["detected"], maps["detected_q0.2"])
 
 
 class TestMapOutput:

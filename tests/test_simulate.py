@@ -15,6 +15,7 @@ from shiftdetect import simulate
 from shiftdetect.errors import DataError
 from shiftdetect.fdr import detect
 from shiftdetect.nullmodel import fit_null
+from shiftdetect.pipeline import Cube
 from shiftdetect.similarity import SimilarityKind
 from shiftdetect.simulate import (GroundTruth, Metrics, NoiseSpec, SimConfig,
                                   calibrate_glr_null, disk_mask,
@@ -234,7 +235,8 @@ class TestSnr:
 class TestGlr:
     def test_identity_covariance_matches_matched_filter_max(
             self, line_dictionary, rng):
-        cube = rng.standard_normal((6, 6, 30)) + 1.0  # mostly positive scores
+        # mostly positive scores
+        cube = Cube(data=rng.standard_normal((6, 6, 30)) + 1.0)
         field = compute_field(cube, line_dictionary, MF)
         stats_flat = glr_field(cube, line_dictionary, np.ones(30))
         assert np.allclose(stats_flat, field.tmax, atol=1e-12)
@@ -242,7 +244,7 @@ class TestGlr:
     def test_field_matches_scalar_oracle(self, line_dictionary, rng):
         cube = rng.standard_normal((5, 4, 30))
         sigma_diag = rng.uniform(0.5, 2.0, 30)
-        stats_flat = glr_field(cube, line_dictionary, sigma_diag)
+        stats_flat = glr_field(Cube(data=cube), line_dictionary, sigma_diag)
         for y, got in zip(cube.reshape(-1, 30), stats_flat):
             assert got == pytest.approx(
                 glr_statistic(y, line_dictionary, sigma_diag), abs=1e-12)
@@ -305,15 +307,6 @@ class TestScore:
                             true_shifts=np.array([[0.0, np.nan]]))
         m = score(np.array([[False, False]]), truth)
         assert m.fdp == 0.0 and m.power == 0.0
-
-    def test_flat_vector_path(self, line_dictionary):
-        cfg = base_config(line_dictionary, n_y=20, n_x=20)
-        cube, truth = generate(cfg)
-        field = compute_field(cube, line_dictionary, SAD)
-        detected = detect(fit_null(field), field).detected_at(0.2)
-        m_flat = score(detected, truth)
-        m_map = score(field.to_map(detected), truth)
-        assert m_flat == m_map
 
     def test_disk_mask_count_and_determinism(self):
         mask = disk_mask((50, 50), (25, 25), 185)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from shiftdetect import teststat
 from shiftdetect.dictionary import build_lss, gaussian_line_reference
 from shiftdetect.errors import DataError
+from shiftdetect.pipeline import Cube
 from shiftdetect.similarity import SimilarityKind, score_matrix
 from shiftdetect.teststat import TestField, compute_field
 
@@ -73,7 +74,7 @@ class TestComputeField:
     def test_matches_bruteforce_exactly(self, line_dictionary, rng):
         cube = rng.standard_normal((9, 7, 30))
         for kind in (MF, SAD):
-            field = compute_field(cube, line_dictionary, kind)
+            field = compute_field(Cube(data=cube), line_dictionary, kind)
             tmax, tmin, amax = naive_field(cube, line_dictionary, kind)
             assert np.array_equal(field.tmax, tmax)
             assert np.array_equal(field.tmin, tmin)
@@ -81,7 +82,7 @@ class TestComputeField:
 
     def test_scores_match_scalar_path(self, line_dictionary, rng):
         cube = rng.standard_normal((4, 3, 30))
-        field = compute_field(cube, line_dictionary, SAD)
+        field = compute_field(Cube(data=cube), line_dictionary, SAD)
         flat = cube.reshape(-1, 30)
         for i in range(flat.shape[0]):
             per_atom = [similarity(SAD, flat[i], a)
@@ -92,14 +93,14 @@ class TestComputeField:
     def test_single_atom_dictionary(self, gauss_reference, rng):
         d1 = build_lss(gauss_reference, 1, 0.0)
         cube = rng.standard_normal((5, 5, 30))
-        field = compute_field(cube, d1, MF)
+        field = compute_field(Cube(data=cube), d1, MF)
         assert np.array_equal(field.tmax, field.tmin)
         assert np.all(field.argmax_atom == 0)
 
     def test_planted_atom_is_argmax(self, line_dictionary):
         j = 4
         cube = 2.5 * line_dictionary.atoms[j][None, None, :]
-        field = compute_field(cube, line_dictionary, SAD)
+        field = compute_field(Cube(data=cube), line_dictionary, SAD)
         assert field.argmax_atom[0] == j
         assert field.tmax[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -107,8 +108,8 @@ class TestComputeField:
         # max(-y) = -min(y) and min(-y) = -max(y), bitwise
         cube = rng.standard_normal((8, 8, 30))
         for kind in (MF, SAD):
-            plus = compute_field(cube, line_dictionary, kind)
-            minus = compute_field(-cube, line_dictionary, kind)
+            plus = compute_field(Cube(data=cube), line_dictionary, kind)
+            minus = compute_field(Cube(data=-cube), line_dictionary, kind)
             assert np.array_equal(minus.tmax, -plus.tmin)
             assert np.array_equal(minus.tmin, -plus.tmax)
 
@@ -117,8 +118,8 @@ class TestComputeField:
         # same grid plus two atoms appended outside: use a denser dictionary
         big = build_lss(gauss_reference, 5, 6.0)
         cube = rng.standard_normal((6, 6, 30))
-        f_small = compute_field(cube, small, MF)
-        f_big = compute_field(cube, big, MF)
+        f_small = compute_field(Cube(data=cube), small, MF)
+        f_big = compute_field(Cube(data=cube), big, MF)
         # shared atoms: the 3-grid {-6,0,6} is a subset of the 5-grid
         assert np.all(f_big.tmax >= f_small.tmax - 1e-12)
         assert np.all(f_big.tmin <= f_small.tmin + 1e-12)
@@ -130,18 +131,18 @@ class TestComputeField:
         from shiftdetect.dictionary import Dictionary
         d = Dictionary(atoms=atoms, shifts=np.array([0.0, 1.0]), tau=1.0)
         cube = np.array([[[1.0, 1.0, 0.0, 0.0]]])
-        field = compute_field(cube, d, MF)
+        field = compute_field(Cube(data=cube), d, MF)
         assert field.argmax_atom[0] == 0
 
     def test_band_mismatch(self, line_dictionary, rng):
         with pytest.raises(DataError):
-            compute_field(rng.standard_normal((3, 3, 29)), line_dictionary,
-                          MF)
+            compute_field(Cube(data=rng.standard_normal((3, 3, 29))),
+                          line_dictionary, MF)
 
     def test_masked_pixels_dropped(self, line_dictionary, rng):
         cube = rng.standard_normal((4, 4, 30))
         cube[1, 2, :] = np.nan
-        field = compute_field(cube, line_dictionary, SAD)
+        field = compute_field(Cube(data=cube), line_dictionary, SAD)
         assert field.n == 15
         assert not np.any((field.rows == 1) & (field.cols == 2))
 
@@ -149,13 +150,7 @@ class TestComputeField:
         cube = rng.standard_normal((4, 4, 30))
         cube[1, 2, 5] = np.nan
         with pytest.raises(DataError, match="masked"):
-            compute_field(cube, line_dictionary, SAD)
-
-    def test_flat_spectra_input(self, line_dictionary, rng):
-        spectra = rng.standard_normal((11, 30))
-        field = compute_field(spectra, line_dictionary, MF)
-        assert field.shape == (11, 1)
-        assert field.n == 11
+            compute_field(Cube(data=cube), line_dictionary, SAD)
 
 
 class TestComputeFieldOracle:
@@ -181,11 +176,11 @@ class TestComputeFieldOracle:
         # with blocks of 4 spectra: a masked pixel inside block 0, zero
         # spectra astride the first edge, infinities (NaN scores) astride
         # the second, and tied quantised spectra everywhere else
-        data = rng.integers(-1, 2, (23, 30)) * 0.5
+        data = rng.integers(-1, 2, (23, 1, 30)) * 0.5
         data[3] = np.nan
         data[[4, 5]] = 0.0
-        data[8, 7] = np.inf
-        data[9, 7] = -np.inf
+        data[8, 0, 7] = np.inf
+        data[9, 0, 7] = -np.inf
         with mock.patch.object(teststat, "_BLOCK_PIXELS", 4):
             self.check_equals_rowwise_form(data, line_dictionary, SAD)
 
@@ -200,15 +195,16 @@ class TestComputeFieldOracle:
 
     @staticmethod
     def check_equals_rowwise_form(data, dictionary, kind):
+        cube = Cube(data=data)
         # an infinity can make NaN scores, with numpy's invalid-value flag
         with np.errstate(all="ignore"):
             try:
-                expected = compute_field_rowwise(data, dictionary, kind)
+                expected = compute_field_rowwise(cube, dictionary, kind)
             except DataError as exc:
                 with pytest.raises(DataError, match=re.escape(str(exc))):
-                    compute_field(data, dictionary, kind)
+                    compute_field(cube, dictionary, kind)
                 return
-            got = compute_field(data, dictionary, kind)
+            got = compute_field(cube, dictionary, kind)
         assert equal_up_to_zero_sign(got.tmax, expected.tmax)
         assert equal_up_to_zero_sign(got.tmin, expected.tmin)
         for name in ("argmax_atom", "rows", "cols"):
@@ -229,13 +225,13 @@ class TestComputeFieldOracle:
         monkeypatch.setattr(teststat, "score_matrix", spy)
         cube = rng.standard_normal((4, 5, 30))
         cube[1, 2] = np.nan
-        assert compute_field(cube, line_dictionary, SAD).n == 19
+        assert compute_field(Cube(data=cube), line_dictionary, SAD).n == 19
         assert calls == [(19, 30)]
         # one call per block of unmasked spectra; the last block takes the
         # remainder
         calls.clear()
         monkeypatch.setattr(teststat, "_BLOCK_PIXELS", 8)
-        assert compute_field(cube, line_dictionary, SAD).n == 19
+        assert compute_field(Cube(data=cube), line_dictionary, SAD).n == 19
         assert calls == [(8, 30), (11, 30)]
 
     def test_peak_memory_bounded(self, line_dictionary, rng):
@@ -247,7 +243,7 @@ class TestComputeFieldOracle:
         cube = rng.standard_normal((200, 200, 30))
         tracemalloc.start()
         try:
-            compute_field(cube, line_dictionary, SAD)
+            compute_field(Cube(data=cube), line_dictionary, SAD)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -263,7 +259,7 @@ class TestTestFieldContainer:
 
     def test_to_map(self, line_dictionary, rng):
         cube = rng.standard_normal((3, 4, 30))
-        field = compute_field(cube, line_dictionary, MF)
+        field = compute_field(Cube(data=cube), line_dictionary, MF)
         grid = field.to_map(field.tmax)
         assert grid.shape == (3, 4)
         assert grid[2, 1] == field.tmax[(field.rows == 2)
