@@ -8,7 +8,6 @@ reported as untested in output maps.
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 from dataclasses import dataclass, field
@@ -27,9 +26,11 @@ _MAGIC = b"FDC1"
 _FLAG_VARIANCE = 0x1
 
 CONTOUR_LEVELS = (0.05, 0.1, 0.2, 0.4)
-# pixels per block when `preprocess` transposes a cube, so that a block
-# stays in cache
-_BLOCK_PIXELS = 1024
+# bands per chunk of `preprocess`: 8 float64 values, one 64-byte cache
+# line of a spectrum; pixels per block when it transposes a chunk, so
+# that a block stays in cache
+_CHUNK_BANDS = 8
+_BLOCK_PIXELS = 4096
 # Dictionaries built here allow slightly negative inner products between
 # far-shifted atoms: a reference estimated from noisy pixels always carries
 # a noise floor at shifts where the true line profiles no longer overlap.
@@ -74,6 +75,9 @@ class FsfKernel:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2 or not np.all(np.isfinite(w)):
             raise DataError("kernel must be a finite 2-d matrix")
+        if w.shape[0] % 2 == 0 or w.shape[1] % 2 == 0:
+            # no centre pixel: the convolution would shift every map
+            raise DataError(f"kernel sides must be odd, got {w.shape}")
         if not np.allclose(w, w[::-1, ::-1], atol=1e-12):
             raise DataError("kernel must be symmetric under 180-deg rotation")
         total = w.sum()
@@ -118,7 +122,8 @@ class RegionSpec:
 
 
 def _check_window(shape, slices) -> None:
-    if any(s.start < 0 or s.stop > n for s, n in zip(slices, shape)):
+    if any(not 0 <= s.start <= s.stop <= n or s.step not in (None, 1)
+           for s, n in zip(slices, shape)):
         raise DataError("window outside cube")
 
 
@@ -152,9 +157,10 @@ def save_cube(cube: Cube, path) -> None:
 
 def load_cube(path, window=None) -> Cube:
     """Read a `save_cube` file, or just the box `window` (slices as
-    `RegionSpec.box` gives them), copied from a read-only map; that equals
-    `extract(load_cube(path), window)`.  The NaN policy is checked on what
-    is returned: values outside the window are neither copied nor checked."""
+    `RegionSpec.box` gives them), read row by row (`_read_box`); that
+    equals `extract(load_cube(path), window)`.  The NaN policy is checked
+    on what is returned: values outside the window are neither read nor
+    checked.  A file that ends before its blocks do raises `DataError`."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -164,7 +170,7 @@ def load_cube(path, window=None) -> Cube:
             raise DataError(f"{path}: truncated header")
         n_y, n_x, l, flags, band_origin = struct.unpack("<IIIIi", header)
         names = ("data", "variance") if flags & _FLAG_VARIANCE else ("data",)
-        # sized from the file before any block is mapped: a header may
+        # sized from the file before any block is allocated: a header may
         # claim far more data than the file holds
         start, block_bytes = fh.tell(), 8 * n_y * n_x * l
         size = os.fstat(fh.fileno()).st_size
@@ -175,14 +181,31 @@ def load_cube(path, window=None) -> Cube:
             raise DataError(f"{path}: trailing bytes")
         window = window or (slice(0, n_y), slice(0, n_x), slice(0, l))
         _check_window((n_y, n_x, l), window)
-        # only copies leave the map: a view of a rewritten file can fault
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-            blocks = {name: np.ndarray((n_y, n_x, l), "<f8", mapped,
-                                       start + k * block_bytes)[window].copy()
-                      for k, name in enumerate(names)}
+        blocks = {name: _read_box(fh, start + k * block_bytes, (n_x, l),
+                                  window, f"{path}: truncated {name} block")
+                  for k, name in enumerate(names)}
     cube = Cube(band_origin=band_origin + window[2].start, **blocks)
     _check_nan_policy(cube)
     return cube
+
+
+def _read_box(fh, offset: int, row_shape, window, truncated) -> np.ndarray:
+    """The box `window` of the "<f8" (n_y, *row_shape) block at byte
+    `offset` of `fh`: one read when the box holds whole rows, else one per
+    row of it, through a row buffer when the box leaves out bands."""
+    (rows, cols, bands), (n_x, l) = window, row_shape
+    box = np.empty([s.stop - s.start for s in window], "<f8")
+    direct = bands.stop - bands.start == l
+    whole_rows = direct and cols.stop - cols.start == n_x
+    row = None if direct else np.empty((cols.stop - cols.start, l), "<f8")
+    for k in range(0, len(box), max(len(box), 1) if whole_rows else 1):
+        target = box[k:] if whole_rows else box[k] if direct else row
+        fh.seek(offset + 8 * l * ((rows.start + k) * n_x + cols.start))
+        if fh.readinto(target) != target.nbytes:  # the file shrank
+            raise DataError(truncated)
+        if not direct:
+            box[k] = row[:, bands]
+    return box
 
 
 def read_key_values(path) -> dict:
@@ -282,10 +305,10 @@ def preprocess(cube: Cube, fsf: Optional[FsfKernel] = None,
     reflective boundaries.  Every step is odd in the data, so symmetric
     noise stays symmetric.  Masked pixels pass through untouched.
 
-    The standardization works band-major (`_standardize`): each voxel
-    meets the same operations on the same operands as in band-by-band
-    order, so the bits do not depend on the layout.  NaNs are zero-filled
-    for the convolution in place, and only when there are any.
+    Past the baseline step, the work holds one output cube and one chunk
+    of bands (`_standardize`): each voxel meets the same operations on the
+    same operands as in band-by-band order, so the bits do not depend on
+    the layout, and the kernel convolves each band into the output.
     """
     from scipy import ndimage
     masked = masked_spectra(cube.data)
@@ -300,41 +323,51 @@ def preprocess(cube: Cube, fsf: Optional[FsfKernel] = None,
     if use_variance and cube.variance is None:
         raise DataError("variance reduction requested but the cube has no "
                         "variance")
-    data = _standardize(data, cube.variance if use_variance else None)
-    if fsf is not None:
-        nan = np.isnan(data)
-        if nan.any():
-            data[nan] = 0.0
-        data = ndimage.convolve(data, fsf.weights[:, :, None],
-                                mode="reflect")
-        if masked is not None:
-            data[masked] = np.nan
+    data = _standardize(data, cube.variance if use_variance else None, fsf)
+    if fsf is not None and masked is not None:
+        data[masked] = np.nan
     return Cube(data=data, variance=None, band_origin=cube.band_origin)
 
 
-def _standardize(data: np.ndarray,
-                 variance: Optional[np.ndarray]) -> np.ndarray:
+def _standardize(data: np.ndarray, variance: Optional[np.ndarray],
+                 fsf: Optional[FsfKernel]) -> np.ndarray:
     """data / sqrt(variance) (data alone when variance is None), each band
-    centred on its median and scaled by 1.4826 MAD, as a new C-order cube.
-    The work runs on one band-major copy, each band a contiguous row
-    centred and scaled in place; both transpositions go block by block."""
+    centred on its median and scaled by 1.4826 MAD, then convolved with
+    the kernel when there is one (NaNs zero-filled first), as a new
+    C-order cube.  The quotient is the output; its bands go _CHUNK_BANDS
+    at a time through one small band-major buffer, each band a contiguous
+    row worked in place and convolved back into the output.  Without a
+    kernel, the medians and scales are applied to the output in place."""
+    from scipy import ndimage
     n_y, n_x, l = data.shape
+    if variance is None:
+        out = np.array(data, order="C")
+    else:
+        out = np.sqrt(variance, order="C")
+        np.divide(data, out, out=out)
+    center, scale = np.empty(l), np.empty(l)
+    buffer = np.empty((min(l, _CHUNK_BANDS), n_y, n_x))
     step = max(1, _BLOCK_PIXELS // max(n_x, 1))
-    blocks = [slice(r, r + step) for r in range(0, n_y, step)]
-    bands = np.empty((l, n_y, n_x))
-    for rows in blocks:
-        block = data[rows] if variance is None \
-            else data[rows] / np.sqrt(variance[rows])
-        bands[:, rows] = block.transpose(2, 0, 1)
-    for b, band in enumerate(bands.reshape(l, n_y * n_x)):
-        band -= _nanmedian(band)
-        scale = 1.4826 * _nanmedian(np.abs(band))
-        if not np.isfinite(scale) or scale <= 0:
-            raise DataError(f"degenerate band {b}: zero spread")
-        band /= scale
-    out = np.empty((n_y, n_x, l))
-    for rows in blocks:
-        out[rows] = bands[:, rows].transpose(1, 2, 0)
+    for lo in range(0, l, _CHUNK_BANDS):
+        chunk = buffer[:min(l - lo, _CHUNK_BANDS)]
+        for r in range(0, n_y, step):   # block by block, to stay in cache
+            chunk[:, r:r + step] = out[r:r + step, :, lo:lo + len(chunk)] \
+                .transpose(2, 0, 1)
+        for b, band in enumerate(chunk, start=lo):
+            flat = band.reshape(-1)
+            center[b] = _nanmedian(flat)
+            flat -= center[b]
+            scale[b] = 1.4826 * _nanmedian(np.abs(flat))
+            if not np.isfinite(scale[b]) or scale[b] <= 0:
+                raise DataError(f"degenerate band {b}: zero spread")
+            if fsf is not None:
+                flat /= scale[b]
+                band[np.isnan(band)] = 0.0
+                ndimage.convolve(band, fsf.weights, output=out[:, :, b],
+                                 mode="reflect")
+    if fsf is None:
+        out -= center
+        out /= scale
     return out
 
 

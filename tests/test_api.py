@@ -72,7 +72,7 @@ def test_library_code_does_not_print():
 SETTABLE_VALUES_BUDGET = 99
 # Lines of src/shiftdetect/*.py, as `wc -l` counts them; a change that
 # needs more raises the budget in the same diff and says why.
-SOURCE_LINES_BUDGET = 2598
+SOURCE_LINES_BUDGET = 2631
 
 
 def _is_dataclass(node):

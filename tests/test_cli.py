@@ -306,6 +306,9 @@ class TestMalformedNumbers:
         pytest.param(["preprocess", "--cube", "{cube}", "--out", "{out}",
                       "--fsf", "uniform:-1"], None,
                      id="preprocess-fsf-uniform-negative"),
+        pytest.param(["preprocess", "--cube", "{cube}", "--out", "{out}",
+                      "--fsf", "uniform:2"], None,
+                     id="preprocess-fsf-uniform-even"),
         pytest.param(["simulate", "--config", "{conf}", "--out", "{out}"],
                      "kernel=uniform-1\n", id="simulate-kernel-uniform-1"),
         pytest.param(["simulate", "--config", "{conf}", "--out", "{out}",
@@ -712,7 +715,7 @@ print(" ".join(sorted(set(sys.modules) - before)))
 # `json`, ...) would add its import time to every command.
 STARTUP_MODULES = {"__future__", "_csv", "_decimal", "_locale", "argparse",
                    "copy", "csv", "dataclasses", "decimal", "fractions",
-                   "gettext", "locale", "mmap"}
+                   "gettext", "locale"}
 
 
 def test_startup_adds_no_module_beyond_numpy():

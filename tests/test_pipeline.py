@@ -1,7 +1,11 @@
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import hypothesis.extra.numpy as hnp
@@ -13,7 +17,8 @@ from shiftdetect.dictionary import build_lss
 from shiftdetect.errors import DataError, NumericError
 from shiftdetect.nullmodel import NullModel
 from shiftdetect.pipeline import (CONTOUR_LEVELS, Cube, DictionaryParams,
-                                  FsfKernel, RegionSpec, _check_nan_policy,
+                                  FsfKernel, RegionSpec, _BLOCK_PIXELS,
+                                  _CHUNK_BANDS, _check_nan_policy,
                                   _nanmedian, _write_grid, estimate_reference,
                                   extract, fit_region, gaussian_fsf,
                                   load_cube, load_cube_csvdir, preprocess,
@@ -21,13 +26,28 @@ from shiftdetect.pipeline import (CONTOUR_LEVELS, Cube, DictionaryParams,
                                   write_maps, write_pgm)
 from shiftdetect.similarity import SimilarityKind
 from shiftdetect.simulate import NoiseSpec, SimConfig, generate
-from shiftdetect.teststat import masked_spectra
+from shiftdetect.teststat import compute_field, masked_spectra
 
 from oracles import (check_nan_policy_per_pixel, equal_up_to_zero_sign,
                      preprocess_where_fill, save_cube_tobytes,
                      standardize_nanmedian)
 
 SAD = SimilarityKind.SPECTRAL_ANGLE
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Run in a fresh interpreter: the growth of ru_maxrss (kB on Linux, bytes
+# on macOS) over one `load_cube`, and the bytes of the blocks it returns.
+# Linux carries a process's ru_maxrss over its exec, so the probe starts
+# from the small RELAY interpreter, not from the test process.
+RELAY = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+LOAD_RSS_PROBE = """
+import resource, sys
+from shiftdetect.pipeline import load_cube
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+cube = load_cube(sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before,
+      cube.data.nbytes + cube.variance.nbytes)
+"""
 
 
 def random_cube(rng, shape=(6, 5, 4), variance=False, mask_pixel=None):
@@ -42,11 +62,27 @@ def random_cube(rng, shape=(6, 5, 4), variance=False, mask_pixel=None):
     return Cube(data=data, variance=var, band_origin=7)
 
 
+# band counts on both sides of `preprocess`'s chunk of bands
+BAND_COUNTS = st.sampled_from([1, 2, 5, _CHUNK_BANDS - 1, _CHUNK_BANDS,
+                               _CHUNK_BANDS + 1, 2 * _CHUNK_BANDS + 1])
+
+
+@st.composite
+def grids(draw, side):
+    """A grid of at most side x side pixels, or now and then one of two to
+    four rows wide enough to fill one to four of `preprocess`'s blocks."""
+    if draw(st.integers(0, 3)):
+        return draw(st.integers(1, side)), draw(st.integers(1, side))
+    return draw(st.integers(2, 4)), draw(st.sampled_from(
+        [_BLOCK_PIXELS // 3 + 1, _BLOCK_PIXELS // 2 + 1]))
+
+
 @st.composite
 def windowed_cubes(draw):
-    """A small cube, with or without a variance block and masked pixels,
-    and a window inside it that often starts or ends at a cube edge."""
-    shape = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    """A cube, with or without a variance block and masked pixels, a
+    window inside it that often starts or ends at a cube edge: whole or
+    partial rows, and whole or partial band windows."""
+    shape = (*draw(grids(7)), draw(BAND_COUNTS))
     window = []
     for n in shape:
         start = 0 if draw(st.booleans()) else draw(st.integers(0, n - 1))
@@ -81,10 +117,10 @@ class TestCubeContainer:
 
 @st.composite
 def masked_cubes(draw):
-    """A small cube, continuous or quantised (ties, zeros of both signs),
-    with a variance block and masked pixels now and then."""
-    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)),
-             draw(st.integers(1, 5)))
+    """A cube of `grids` and `BAND_COUNTS`, continuous or quantised (ties,
+    zeros of both signs), with a variance block and masked pixels now and
+    then."""
+    shape = (*draw(grids(12)), draw(BAND_COUNTS))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         data = rng.integers(0, 4, shape) * rng.choice([-0.5, 0.5], shape)
@@ -211,7 +247,11 @@ class TestBinaryIO:
         cube, window = case
         path = tmp_path_factory.mktemp("window") / "cube.fdc"
         save_cube(cube, path)
-        expected = extract(load_cube(path), window)
+        whole = load_cube(path)
+        for block, saved in [(whole.data, cube.data),
+                             (whole.variance, cube.variance)]:
+            assert block is saved is None or block.tobytes() == saved.tobytes()
+        expected = extract(whole, window)
         got = load_cube(path, window)
         assert got.band_origin == expected.band_origin
         assert got.shape == expected.shape
@@ -220,7 +260,8 @@ class TestBinaryIO:
             assert got.variance is None
         else:
             assert got.variance.tobytes() == expected.variance.tobytes()
-        # only copies leave the file map, so the file can be rewritten
+        # the blocks are read into arrays of their own: nothing keeps the
+        # file, and no view holds a larger read buffer alive
         for block in (got.data, got.variance):
             assert block is None or block.base is None
 
@@ -235,6 +276,21 @@ class TestBinaryIO:
         window[axis] = slice(-1, n) if edge == "start" else slice(0, n + 1)
         with pytest.raises(DataError, match="window outside cube"):
             load_cube(path, tuple(window))
+
+    @pytest.mark.parametrize("bad", [slice(3, 1), slice(0, 4, 2)],
+                             ids=["backwards", "step"])
+    def test_window_slices_are_forward_and_contiguous(self, rng, tmp_path,
+                                                      bad):
+        cube = random_cube(rng, variance=True)
+        path = tmp_path / "cube.fdc"
+        save_cube(cube, path)
+        for axis in range(3):
+            window = [slice(0, n) for n in cube.shape]
+            window[axis] = bad
+            for read in (lambda w: load_cube(path, w),
+                         lambda w: extract(cube, w)):
+                with pytest.raises(DataError, match="window outside cube"):
+                    read(tuple(window))
 
     def test_window_checks_only_the_window(self, rng, tmp_path):
         cube = random_cube(rng, shape=(6, 5, 4), variance=True)
@@ -258,6 +314,48 @@ class TestBinaryIO:
             got = load_cube(path, window)
             assert np.array_equal(got.data, data[window])
             assert np.array_equal(got.variance, var[window])
+
+    def test_file_shrunk_after_the_size_check(self, rng, tmp_path,
+                                              monkeypatch):
+        # the header and the file size agree, then the file loses its last
+        # bytes before the read: an error, not a short or faulting read
+        cube = random_cube(rng, variance=True)
+        path = tmp_path / "cube.fdc"
+        save_cube(cube, path)
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:
+            fh.truncate(size - 8)
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+            st_size=size if fstat(fd).st_size == size - 8
+            else fstat(fd).st_size))
+        for window in [None, (slice(2, 6), slice(0, 5), slice(0, 4)),
+                       (slice(5, 6), slice(1, 5), slice(1, 4))]:
+            with pytest.raises(DataError, match="truncated variance block"):
+                load_cube(path, window)
+        # windows that end before the lost bytes read as before
+        window = (slice(0, 5), slice(0, 5), slice(0, 4))
+        assert np.array_equal(load_cube(path, window).variance,
+                              cube.variance[window])
+
+    def test_load_holds_no_file_pages(self, rng, tmp_path):
+        # tracemalloc does not see mapped file pages: a load that copied
+        # the blocks out of a map of the file held those pages next to the
+        # copy, and grew the peak RSS by about twice the blocks.  Measured:
+        # 1.07 times the blocks (one boolean screen of a block over them)
+        pytest.importorskip("resource")
+        cube = random_cube(rng, shape=(300, 300, 40), variance=True)
+        path = tmp_path / "cube.fdc"
+        save_cube(cube, path)
+        proc = subprocess.run(
+            [sys.executable, "-c", RELAY,
+             sys.executable, "-c", LOAD_RSS_PROBE, str(path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        grown, nbytes = map(int, proc.stdout.split())
+        grown *= 1 if sys.platform == "darwin" else 1024
+        assert grown <= 1.1 * nbytes, grown / nbytes
 
     def test_partial_nan_policy(self, rng, tmp_path):
         cube = random_cube(rng)
@@ -355,16 +453,17 @@ class TestPreprocess:
         assert masked_spectra(out.data).sum() == 1
 
     @pytest.mark.parametrize("kwargs, bound", [
-        ({"fsf": gaussian_fsf(1.0)}, 2.5),
-        ({}, 2.5),
-        ({"use_variance": False}, 2.5),
-        ({"fsf": gaussian_fsf(1.0), "baseline_window": 5}, 3.5),
+        ({"fsf": gaussian_fsf(1.0)}, 1.6),
+        ({}, 1.6),
+        ({"use_variance": False}, 1.6),
+        ({"fsf": gaussian_fsf(1.0), "baseline_window": 5}, 2.6),
     ], ids=["variance-kernel", "variance", "plain", "baseline-kernel"])
     def test_peak_memory_in_cube_sizes(self, rng, kwargs, bound):
-        # measured peaks: 2.13, 2.08, 2.00 and 3.09 cube sizes (the band-
-        # major copy, its C-order copy and the convolution's output, with
-        # the baseline's cube before them).  The first, the CLI's
-        # `preprocess --fsf`, was 3.05 before the band-major copy.
+        # measured peaks: 1.51, 1.51, 1.51 and 2.51 cube sizes (the output
+        # and one chunk of 8 of the 20 bands, with the baseline's cube
+        # before them); each bound adds 0.09.  The first, the CLI's
+        # `preprocess --fsf`, was 3.05 before the band-major copy and 2.13
+        # before the chunks.
         from scipy import ndimage  # noqa: F401  (its import is not counted)
         cube = random_cube(rng, shape=(120, 100, 20), variance=True,
                            mask_pixel=(5, 5))
@@ -483,6 +582,14 @@ class TestFsfKernel:
         with pytest.raises(DataError, match="symmetric"):
             FsfKernel(w)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 3), (3, 2),
+                                       (0, 0)])
+    def test_even_side_rejected(self, shape):
+        # an even side has no centre pixel: a 180-degree symmetric 2x2 mean
+        # would move a point source at 3 to a centroid of 2.5
+        with pytest.raises(DataError, match="odd"):
+            FsfKernel(np.ones(shape))
+
     def test_gaussian_fsf(self):
         k = gaussian_fsf(1.2)
         assert k.weights.shape == (5, 5)
@@ -598,6 +705,33 @@ class TestRunDetection:
         assert maps["pvalue"].shape == (50, 50)
         # detection at 0.2 matches the level map
         assert np.array_equal(maps["detected"], maps["detected_q0.2"])
+
+    def test_overlays_read_the_result_at_each_level(self, line_dictionary):
+        # 2,500 tested pixels, pi0 1, and one p-value of 1/49998 (the
+        # others 1): it sits just above the 0.05 line 0.05 / 2500 = 1/50000
+        # and below 1.0001 times it, so an overlay read at a shifted level
+        # flips that pixel
+        data = np.random.default_rng(5).standard_normal((50, 50, 30))
+        data[25, 25] += 20.0 * line_dictionary.atoms[7]
+        region = RegionSpec(center_y=25, center_x=25, center_band=15,
+                            half_width=25, half_bands=15, fit_half_width=25)
+        tmax = compute_field(Cube(data=data), line_dictionary, SAD).tmax
+        assert np.count_nonzero(tmax == tmax.max()) == 1
+        pooled = np.full(49998, tmax.max())
+        pooled[-1] += 1.0
+        model = NullModel(mu0_hat=0.0, pi0_hat=1.0, n0=24999, n_fit=49998,
+                          pooled=pooled)
+        out = run_detection(Cube(data=data), region,
+                            dictionary=line_dictionary, model=model)
+        result = out.result
+        assert np.count_nonzero(result.pvalues < 1.0) == 1
+        assert not result.detected_at(0.05).any()
+        assert result.detected_at(0.05 * 1.0001).sum() == 1
+        for level in CONTOUR_LEVELS:
+            assert np.array_equal(out.maps[f"detected_q{level:g}"],
+                                  out.field.to_map(result.detected_at(level)))
+        assert np.array_equal(out.maps["detected"],
+                              out.field.to_map(result.detected_at(0.2)))
 
     def test_recovers_injected_halo(self, line_dictionary):
         fdps, powers = [], []

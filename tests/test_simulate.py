@@ -301,6 +301,17 @@ class TestScore:
         assert m == Metrics(false_detections=0, true_detections=1,
                             fdp=0.0, power=1.0)
 
+    def test_false_detections(self):
+        # r = 4 detections, 1 of them false: fdp is fp / r exactly, and the
+        # power counts the 3 found among 5 true pixels
+        truth = GroundTruth(h1_mask=np.array([[True] * 5 + [False] * 3]),
+                            amplitudes=np.array([[1.0] * 5 + [0.0] * 3]),
+                            true_shifts=np.array([[0.0] * 5 + [np.nan] * 3]))
+        m = score(np.array([[True, True, True, False, False, True, False,
+                             False]]), truth)
+        assert m == Metrics(false_detections=1, true_detections=3,
+                            fdp=0.25, power=0.6)
+
     def test_empty_detection_guard(self):
         truth = GroundTruth(h1_mask=np.array([[True, False]]),
                             amplitudes=np.array([[1.0, 0.0]]),
